@@ -6,7 +6,9 @@
 PYTEST = PYTHONPATH=src python -m pytest -x -q
 
 .PHONY: verify test unit chaos bench bench-smoke bench-check telemetry-demo \
-	store-demo
+	store-demo perfbench-smoke
+
+PERFBENCH_WORKLOADS = attack_replay benign_desktop bulk_append ingest_chaos
 
 # the default pre-merge gate: tier-1 tests, then the hot-path regression
 # check against the newest committed BENCH_<N>.json
@@ -36,6 +38,22 @@ bench:
 bench-smoke:
 	PYTHONPATH=src python benchmarks/run_bench.py --smoke \
 		--output /tmp/BENCH.smoke.json
+
+# two-second traced pass over every perfbench workload (~2 min on 2 CPUs):
+# fails on a non-zero exit or on any failed operation in the run's last
+# (JSON) line, so a rename that breaks a span wrapper in
+# perfbench/spans.py fails here
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		out=$$(python3 perfbench/run.py --workload $$w --seed 1 \
+			--seconds 2 --trace 1) || { echo "$$out"; \
+			echo "perfbench-smoke: $$w exited non-zero"; exit 1; }; \
+		echo "$$out" | tail -n 1 | python3 -c 'import json, sys; \
+			r = json.loads(sys.stdin.read()); \
+			print("perfbench-smoke: %s failed=%d attempted=%d" \
+			% (sys.argv[1], r["failed"], r["attempted"])); \
+			sys.exit(1 if r["failed"] else 0)' $$w || exit 1; \
+	done
 
 # regression gate: rerun the harness and fail on >25% hot-path slowdown
 # against the newest committed BENCH_<N>.json baseline

@@ -10,8 +10,10 @@ overhead) and writes a machine-comparable JSON report:
 * ``speedups`` — vectorised-vs-scalar ratios for the sdhash digest and
   the batched all-pairs compare, cached-vs-uncached for the close-heavy
   engine campaign, store-vs-BENCH_2-era-path for the campaign
-  throughput sweep (the ISSUE-3 headline: shared BaselineStore + lazy
-  close digests versus per-sample eager digesting), and the ISSUE-5
+  throughput sweep (the ISSUE-3 headline: shared BaselineStore +
+  deferred close digests versus the eager reference cache of
+  ``tests/reference.py``, which digests every version on the spot with
+  no store or LRU), and the ISSUE-5
   batch-kernel ratios: ``digest_many`` versus a per-file digest loop on
   a small-document batch, and the batched store build versus the serial
   reference loop.
@@ -26,13 +28,15 @@ overhead) and writes a machine-comparable JSON report:
   ``tests/test_bench_smoke.py``), engine counters must be identical
   either way, and a small detection campaign must produce bit-identical
   results with telemetry on.
-* ``streaming_digest`` — the ISSUE-7 section: a large append-only file
-  (256 MiB at full scale) written chunk by chunk and closed, with
-  ``streaming_digests`` on vs off.  The streamed close finalises its
-  sdhash from the incremental per-handle stream in O(tail); the whole
-  leg re-reads and digests the full content.  Gates: the digests are
-  bit-identical, a storeless campaign produces identical detection
-  output either way, and at full scale the streamed close is ≥5× faster
+* ``streaming_digest`` — the ISSUE-7 section: a large file (256 MiB at
+  full scale) written chunk by chunk and closed, once front to back (an
+  append-only stream) and once back to front (seek, then write: not a
+  stream).  The streamed close finalises its sdhash from the incremental
+  per-handle stream in O(tail); the whole leg digests the full content.
+  Both legs time the close plus the scheduler flush, so a deferred
+  digest is not timed as free.  Gates: the digests are bit-identical, a
+  storeless campaign with every stream active matches the eager
+  reference, and at full scale the streamed close is ≥5× faster
   (``streaming_close_speedup_ge_5``).
 * ``store_persistence`` — the ISSUE-9 section: the single-file on-disk
   baseline store (``repro.store``).  A scaling sweep builds a ``.cdbs``
@@ -74,6 +78,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+# the eager reference cache lives with the tests, outside the package
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.core.filestate import FileStateCache
 from repro.corpus.baselines import BaselineStore, content_key
@@ -94,11 +100,12 @@ from repro.sandbox.parallel import build_store_parallel
 from repro.simhash.sdhash import (compare, compare_scalar, digest_many,
                                   sdhash, sdhash_scalar)
 from repro.store import fsck_store
+from tests.reference import eager_reference
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_8.json"
 SCHEMA_VERSION = 8
 
-#: minimum store-vs-eager campaign speedup gated at full scale
+#: minimum store-vs-eager-reference campaign speedup gated at full scale
 CAMPAIGN_SPEEDUP_FLOOR = 3.0
 #: minimum digest_many-vs-per-file speedup on a 32-document batch
 DIGEST_MANY_SPEEDUP_FLOOR = 2.0
@@ -236,7 +243,7 @@ def _bench_cohort(total: int):
 
     Class C with delete disposal (read original → write ciphertext to a
     new file → delete original) is the paper's third behaviour class,
-    and it is the shape where the store + lazy digests pay most:
+    and it is the shape where the store + deferred digests pay most:
     pristine reads resolve from the store, and the ciphertext drops are
     write-once files whose digests are never needed — so the BENCH_2-era
     path's per-file digest pair is eliminated outright, not just
@@ -258,41 +265,42 @@ def _result_fingerprint(campaign) -> list:
 
 def campaign_throughput(n_files: int, n_dirs: int, cohort: int,
                         rounds: int) -> dict:
-    """Store-backed lazy campaign vs the BENCH_2-era path, plus the
-    parallel executor as an identity cross-check.
+    """Store-backed campaign vs the BENCH_2-era path, plus the parallel
+    executor as an identity cross-check.
 
-    The BENCH_2-era leg is the exact pre-ISSUE-3 configuration: no
-    baseline store, eager close digests.  Detection results must be
-    bit-identical across all three legs.
+    The BENCH_2-era leg runs on the eager reference cache: no baseline
+    store, no digest LRU, every captured and closed version digested on
+    the spot.  Detection results must be bit-identical across all three
+    legs.
     """
     corpus = _bench_corpus(n_files, n_dirs)
     profiles = _bench_cohort(cohort)
-    eager = CryptoDropConfig(lazy_close_digests=False)
-    lazy = CryptoDropConfig()
+    config = CryptoDropConfig()
 
     def fresh():
         return [instantiate(p) for p in profiles]
 
     build_started = time.perf_counter()
-    store = store_for_config(corpus, lazy)
+    store = store_for_config(corpus, config)
     store_build_s = time.perf_counter() - build_started
 
     legs = {}
 
     def bench2_leg():
-        legs["bench2"] = run_campaign(fresh(), corpus, eager,
-                                      use_baseline_store=False)
+        with eager_reference():
+            legs["bench2"] = run_campaign(fresh(), corpus, config,
+                                          use_baseline_store=False)
         return legs["bench2"]
 
     def store_leg():
-        legs["store"] = run_campaign(fresh(), corpus, lazy,
+        legs["store"] = run_campaign(fresh(), corpus, config,
                                      use_baseline_store=True)
         return legs["store"]
 
     bench2_s = _best_seconds(bench2_leg, rounds)
     store_s = _best_seconds(store_leg, rounds)
     legs["parallel"] = run_campaign_parallel(
-        fresh(), corpus, lazy, workers=2, use_baseline_store=True)
+        fresh(), corpus, config, workers=2, use_baseline_store=True)
 
     fingerprints = {name: _result_fingerprint(result)
                     for name, result in legs.items()}
@@ -491,24 +499,27 @@ def store_build_section(n_docs: int, repeats: int,
     }
 
 
-def batch_digests_identity(identity: dict) -> bool:
-    """Detection output must be independent of ``batch_digests``.
+def reference_identity(identity: dict, **overrides) -> bool:
+    """A storeless campaign's detection output must equal the eager
+    reference cache's on the same cohort and config.
 
-    Storeless legs on purpose: with a corpus store attached, captures
-    resolve from the store and never defer, so the storeless
-    configuration is the one that actually routes deferred captures
-    through the scheduler's batched flushes.
+    Storeless on purpose: with a corpus store attached, captures resolve
+    from the store and never defer, so the storeless configuration is
+    the one that actually routes deferred captures through the
+    scheduler's batched flushes.
     """
     corpus = _bench_corpus(identity["n_files"], identity["n_dirs"])
     profiles = _bench_cohort(identity["cohort"])
-    runs = {}
-    for label, batching in (("on", True), ("off", False)):
-        config = CryptoDropConfig(batch_digests=batching)
-        runs[label] = run_campaign([instantiate(p) for p in profiles],
-                                   corpus, config,
-                                   use_baseline_store=False)
-    return (_result_fingerprint(runs["on"])
-            == _result_fingerprint(runs["off"]))
+    config = CryptoDropConfig(**overrides)
+
+    def campaign():
+        return run_campaign([instantiate(p) for p in profiles], corpus,
+                            config, use_baseline_store=False)
+
+    engine = campaign()
+    with eager_reference():
+        reference = campaign()
+    return _result_fingerprint(engine) == _result_fingerprint(reference)
 
 
 # -- streaming incremental digests (ISSUE 7) -------------------------------
@@ -516,17 +527,20 @@ def batch_digests_identity(identity: dict) -> bool:
 
 def streaming_digest_section(file_bytes: int, chunk_bytes: int,
                              rounds: int) -> dict:
-    """One large append-only file, written chunk by chunk and closed,
-    with ``streaming_digests`` on vs off.
+    """One large file, written chunk by chunk and closed: front to back
+    (an append-only stream) vs back to front (seek, then write — the
+    handle's only offset-0 write is its last, so no stream spans the
+    file).
 
     What the close pays is the thing under test, so the legs pin down
-    everything else: eager close digests (a lazy close defers and would
-    time nothing), a disabled digest LRU (the legs write identical bytes
-    every round, and a key hit would skip the digest being measured),
-    and ``max_inspect_bytes`` raised above the file size (the default
-    4 MiB cap would refuse to digest the file at all — and would drop
-    the stream as ``oversize``).  Legs run interleaved per round, same
-    two-estimator ratio as ``_fast_vs_slow``.
+    everything else: each times the close *plus* the scheduler flush (a
+    deferred close digest would otherwise be timed as free), a disabled
+    digest LRU (the legs write identical bytes every round, and a key
+    hit would skip the digest being measured), and ``max_inspect_bytes``
+    raised above the file size (the default 4 MiB cap would refuse to
+    digest the file at all — and would drop the stream as
+    ``oversize``).  Legs run interleaved per round, same two-estimator
+    ratio as ``_fast_vs_slow``.
 
     Text content on purpose: high-entropy random bytes would fire the
     write-entropy indicator and suspend the writer mid-benchmark.
@@ -538,20 +552,22 @@ def streaming_digest_section(file_bytes: int, chunk_bytes: int,
     def leg(streaming: bool) -> dict:
         vfs = VirtualFileSystem()
         vfs._ensure_dirs(DOCUMENTS)
-        config = CryptoDropConfig(streaming_digests=streaming,
-                                  lazy_close_digests=False,
-                                  digest_cache_entries=0,
+        config = CryptoDropConfig(digest_cache_entries=0,
                                   max_inspect_bytes=file_bytes * 2)
         monitor = CryptoDropMonitor(vfs, config).attach()
         pid = vfs.processes.spawn("writer.exe").pid
         path = DOCUMENTS / "archive.dat"
         handle = vfs.open(pid, path, "w", create=True)
+        order = (range(n_chunks) if streaming
+                 else range(n_chunks - 1, -1, -1))
         started = time.perf_counter()
-        for chunk in chunks:
-            vfs.write(pid, handle, chunk)
+        for index in order:
+            vfs.seek(pid, handle, index * chunk_bytes)
+            vfs.write(pid, handle, chunks[index])
         write_s = time.perf_counter() - started
         started = time.perf_counter()
         vfs.close(pid, handle)
+        monitor.flush_inspections()
         close_s = time.perf_counter() - started
         record = monitor.engine.cache.get(vfs.peek_stat(path).node_id)
         digest = (record.base_digest.hexdigest()
@@ -601,26 +617,6 @@ def streaming_digest_section(file_bytes: int, chunk_bytes: int,
         "digests_identical": (streamed["digest"] is not None
                               and streamed["digest"] == whole["digest"]),
     }
-
-
-def streaming_digests_identity(identity: dict) -> bool:
-    """Detection output must be independent of ``streaming_digests``.
-
-    Storeless, with the buffered threshold at zero, so every in-place
-    rewrite actually runs the incremental pipeline rather than resolving
-    from the store or staying buffered.
-    """
-    corpus = _bench_corpus(identity["n_files"], identity["n_dirs"])
-    profiles = _bench_cohort(identity["cohort"])
-    runs = {}
-    for label, streaming in (("on", True), ("off", False)):
-        config = CryptoDropConfig(streaming_digests=streaming,
-                                  stream_digest_min_bytes=0)
-        runs[label] = run_campaign([instantiate(p) for p in profiles],
-                                   corpus, config,
-                                   use_baseline_store=False)
-    return (_result_fingerprint(runs["on"])
-            == _result_fingerprint(runs["off"]))
 
 
 # -- persistent baseline store (ISSUE 9) -----------------------------------
@@ -988,13 +984,14 @@ def run(smoke: bool = False, big: bool = False) -> dict:
         n_files=throughput["n_files"] // 2, n_dirs=throughput["n_dirs"])
 
     overhead = telemetry_overhead(campaign, overhead_rounds, identity)
-    batch_identical = batch_digests_identity(identity)
+    batch_identical = reference_identity(identity)
 
     stream_section = streaming_digest_section(**streaming)
     hot_paths["streaming_close"] = stream_section["seconds_close_streamed"]
     speedups["streaming_close_vs_whole_file"] = \
         stream_section["close_speedup"]
-    streaming_identical = streaming_digests_identity(identity)
+    streaming_identical = reference_identity(identity,
+                                             stream_digest_min_bytes=0)
 
     persistence = store_persistence_section(identity=identity,
                                             **store_persist)
@@ -1012,7 +1009,7 @@ def run(smoke: bool = False, big: bool = False) -> dict:
         # more than they close
         "bytes_digested_le_bytes_closed": counters["single_digest_holds"],
         "digest_cache_hits_positive": counters["digest_cache"]["hits"] > 0,
-        # ISSUE 3: detection outcomes are independent of store/laziness/
+        # ISSUE 3: detection outcomes are independent of store/deferral/
         # parallelism, and a store-backed monitor digests nothing for
         # untouched corpus content
         "campaign_results_identical": sweep["results_identical"],
@@ -1025,13 +1022,13 @@ def run(smoke: bool = False, big: bool = False) -> dict:
         # ISSUE 5: the batched kernel and the deferred-inspection
         # scheduler are pure plumbing — every digest bit-identical to the
         # per-file path, every store entry bit-identical to the serial
-        # build, and detection output independent of batch_digests
+        # build, and detection output equal to the eager reference
         "digest_many_identical": digest_many_identical,
         "store_build_identical": store_build["entries_identical"],
         "batch_results_identical": batch_identical,
         # ISSUE 7: the incremental stream is the same digest by another
-        # route — bit-identical results, and the append-only close never
-        # fell back
+        # route — bit-identical digests, a streaming campaign equal to the
+        # eager reference, and the append-only close never fell back
         "streaming_digest_identical": stream_section["digests_identical"],
         "streaming_results_identical": streaming_identical,
         "streaming_no_fallbacks": not stream_section["stream_fallbacks"],

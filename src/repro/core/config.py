@@ -106,31 +106,15 @@ class CryptoDropConfig:
     #: LRU entries in the content-hash digest cache (0 disables caching);
     #: hits skip re-identifying and re-digesting bytes already inspected
     digest_cache_entries: int = 256
-    #: defer baseline/close digests until a comparison first consumes
-    #: them — captures that are never compared (deleted originals,
-    #: born-under-the-writer files) then never digest at all.  Scoring is
-    #: bit-identical either way (a digest is a pure function of content);
-    #: turn off to bound per-record memory on very long-lived monitors.
-    lazy_close_digests: bool = True
-    #: materialise deferred digests through the batched ``digest_many``
-    #: kernel via the InspectionScheduler (one numpy dispatch per pending
-    #: set instead of one per file).  Flushes happen synchronously before
-    #: any comparison, score read, or checkpoint, so detection output is
-    #: bit-identical with the knob on or off; turn off to force the
-    #: scalar reference path.
-    batch_digests: bool = True
-    #: digest append-only writes incrementally as they land
-    #: (``StreamingDigestState``), making the close path O(tail) instead
-    #: of O(file) for large sequential writers.  Detection output is
-    #: bit-identical on or off — non-append access falls back to the
-    #: whole-content path (counted per reason in ``stream_stats()``).
-    streaming_digests: bool = True
-    #: below this many written bytes a handle's stream stays *buffered*
-    #: (chunk refs only, zero numpy work per write) — protects small-file
+    #: append-only writes are digested incrementally as they land (sdhash
+    #: backend), making a large sequential writer's close O(tail).  Below
+    #: this many written bytes a handle's stream stays *buffered* (chunk
+    #: refs only, zero numpy work per write) — protects small-file
     #: campaign throughput; crossing the threshold replays the buffer
     #: through the incremental pipeline
     stream_digest_min_bytes: int = 1 << 20
-    #: force an InspectionScheduler flush when deferred ``pending_content``
+    #: captures defer their digests until a comparison needs them; force
+    #: an InspectionScheduler flush when the deferred ``pending_content``
     #: bytes exceed this watermark (bounds close-path memory on monitors
     #: that defer many large files; 0 disables the cap)
     scheduler_pending_bytes_cap: int = 64 << 20

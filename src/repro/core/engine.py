@@ -40,7 +40,6 @@ from ..telemetry.events import (IndicatorFired, ProcessSuspended,
 from .config import CryptoDropConfig
 from .detection import AlertPolicy, Detection, SuspendPolicy
 from .filestate import FileStateCache, TrackedFile
-from .schedule import InspectionScheduler
 from .indicators import (IndicatorHit, ProcessDeletionState,
                          ProcessEntropyState, ProcessFunnelState,
                          similarity_collapsed, similarity_score,
@@ -83,26 +82,18 @@ class AnalysisEngine(FilterDriver):
                                     digests_enabled=self.config.enable_similarity,
                                     digest_cache_entries=self.config.digest_cache_entries,
                                     baseline_store=baseline_store,
-                                    defer_digests=self.config.lazy_close_digests,
-                                    telemetry=telemetry)
-        #: deferred-digest batching: pending captures materialise through
-        #: digest_many in one flush (bit-identical detection output — the
-        #: scalar per-record path remains the reference with the knob off)
-        self.scheduler: Optional[InspectionScheduler] = None
-        if self.config.batch_digests:
-            self.scheduler = InspectionScheduler(
-                self.cache, telemetry=telemetry,
-                pending_bytes_cap=self.config.scheduler_pending_bytes_cap)
-            self.cache.scheduler = self.scheduler
+                                    telemetry=telemetry,
+                                    pending_bytes_cap=self.config.scheduler_pending_bytes_cap)
+        #: the cache's deferred-digest scheduler: pending captures
+        #: materialise through digest_many in one flush
+        self.scheduler = self.cache.scheduler
         #: incremental close-path digests: append-only write streams feed
         #: a per-handle StreamingDigestState so finalising at close is
         #: O(tail) instead of O(file).  sdhash-only (the ctph backend has
         #: no incremental kernel); any non-append access falls back to the
         #: whole-content path, counted per reason in stream_fallbacks.
-        self._streaming_digests = (self.config.streaming_digests
-                                   and self.config.enable_similarity
-                                   and self.config.similarity_backend
-                                   == "sdhash")
+        self._stream_writes = (self.config.enable_similarity
+                               and self.config.similarity_backend == "sdhash")
         #: handle_id → (node_id, StreamingDigestState)
         self._streams: Dict[int, tuple] = {}
         #: node_id → owning handle_id — a write through any *other* handle
@@ -281,7 +272,7 @@ class AnalysisEngine(FilterDriver):
             self._read_type_memo.pop(op.node_id, None)
         if not op.data:
             return
-        if self._streaming_digests:
+        if self._stream_writes:
             self._stream_feed(op)
         state = self._state(op.pid)
         if not self.config.enable_entropy:
@@ -477,13 +468,13 @@ class AnalysisEngine(FilterDriver):
         The single-digest close path: ``cache.inspect`` types and digests
         the content exactly once (through the corpus BaselineStore and
         the digest LRU), and that one :class:`InspectionResult` feeds both
-        the similarity comparison and the baseline refresh below.  With
-        lazy digests the digest is requested only when this close will
-        actually compare against a digestable baseline; otherwise the new
-        version's digest is deferred until something consumes it — except
-        when a validated ``stream`` is in hand: finalising it now costs
-        O(tail), so deferring (and later re-reading the whole file) would
-        only waste the incremental work.
+        the similarity comparison and the baseline refresh below.  The
+        digest is requested only when this close will actually compare
+        against a digestable baseline; otherwise the new version's digest
+        is deferred until something consumes it — except when a validated
+        ``stream`` is in hand: finalising it now costs O(tail), so
+        deferring (and later re-reading the whole file) would only waste
+        the incremental work.
         """
         state = self._state(op.pid)
         comparing = (record.has_baseline and not record.born_empty
@@ -493,7 +484,6 @@ class AnalysisEngine(FilterDriver):
             # new version's digest will be consumed
             self.cache.materialise_baseline(record)
         want_digest = (stream is not None
-                       or not self.config.lazy_close_digests
                        or (comparing
                            and (record.base_digest is not None
                                 or record.base_ctph is not None)))
@@ -656,10 +646,6 @@ class AnalysisEngine(FilterDriver):
         — everything a restarted engine needs to keep scoring as if the
         crash never happened.
         """
-        if self.scheduler is not None:
-            # pending bytes never serialise: drain them as one batch
-            # before the cache walks its records
-            self.scheduler.flush()
         return {
             "version": self.CHECKPOINT_VERSION,
             "scoreboard": self.scoreboard.checkpoint(),
@@ -683,10 +669,9 @@ class AnalysisEngine(FilterDriver):
             "bytes_closed": self.bytes_closed,
             "op_wall_us": dict(self.op_wall_us),
             # lifetime streaming counters travel; in-flight streams do
-            # not (their hashers cannot serialise exactly once restored
-            # mid-campaign) — a restored engine simply starts no stream
-            # mid-file, so those closes take the whole-content path with
-            # identical detection output
+            # not — a restored engine simply starts no stream mid-file,
+            # so those closes take the whole-content path with identical
+            # detection output
             "streams": {"started": self.streams_started,
                         "finalized": self.streams_finalized,
                         "bytes_streamed": self.bytes_streamed,
@@ -748,7 +733,7 @@ class AnalysisEngine(FilterDriver):
         # (materialise_baseline flushes).  A pending digest is by
         # construction one no comparison has demanded, so it cannot
         # influence any row — draining the scheduler here would digest
-        # bytes the lazy reference path never touches.
+        # bytes no comparison needs.
         return self.scoreboard.row(self._root_pid(pid)).score
 
     def row_of(self, pid: int):
@@ -760,7 +745,7 @@ class AnalysisEngine(FilterDriver):
         """Incremental-digest observability: stream lifecycle counters
         plus the per-reason fallback tally (the rate operators watch)."""
         return {
-            "enabled": self._streaming_digests,
+            "enabled": self._stream_writes,
             "started": self.streams_started,
             "finalized": self.streams_finalized,
             "bytes_streamed": self.bytes_streamed,

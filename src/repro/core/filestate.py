@@ -40,6 +40,7 @@ from ..telemetry.events import BaselineResolved, CacheEvicted
 from ..simhash import sdhash as _sdhash
 from ..simhash.sdhash import SdDigest
 from ..simhash.ssdeep import CtphSignature, ctph
+from .schedule import InspectionScheduler
 
 __all__ = ["TrackedFile", "FileStateCache", "InspectionResult",
            "DigestCache"]
@@ -77,10 +78,9 @@ class InspectionResult:
     the content (False when digests are disabled or the buffer exceeds
     the inspection ceiling) — consumers use it to distinguish "digest is
     None because the content cannot score" from "digest was never
-    attempted".  ``deferred`` marks the lazy-digest variant: the content
-    *could* be digested but no consumer needed it yet; holders keep the
-    bytes and materialise through :meth:`FileStateCache.inspect` on first
-    use.
+    attempted".  ``deferred`` marks a capture whose digest waits: the
+    content *could* be digested but no consumer needed it yet; the record
+    keeps the bytes and the scheduler materialises them on first use.
     """
 
     file_type: FileType
@@ -128,7 +128,7 @@ class DigestCache:
         self.store_hits = 0
         #: lookups that probed an attached store and fell through
         self.store_misses = 0
-        #: inspections whose digest was deferred (lazy close path)
+        #: inspections whose digest was deferred to the scheduler
         self.deferred = 0
         self._entries: "OrderedDict[bytes, InspectionResult]" = OrderedDict()
 
@@ -214,8 +214,8 @@ class FileStateCache:
                  digests_enabled: bool = True,
                  digest_cache_entries: int = 256,
                  baseline_store=None,
-                 defer_digests: bool = False,
-                 telemetry=None) -> None:
+                 telemetry=None,
+                 pending_bytes_cap: int = 0) -> None:
         if backend not in ("sdhash", "ctph"):
             raise ValueError(f"unknown similarity backend {backend!r}")
         self.backend = backend
@@ -243,12 +243,10 @@ class FileStateCache:
             # surface mmap-backend page-ins on this engine's session
             # (dict storage has nothing to observe — no-op bind)
             baseline_store.bind_telemetry(telemetry)
-        #: lazy close path: baseline captures keep the bytes and digest
-        #: only when a comparison first needs them
-        self.defer_digests = defer_digests
-        #: InspectionScheduler attached by the engine (``batch_digests``):
-        #: deferred captures enqueue here and materialise as one batch
-        self.scheduler = None
+        #: captures keep their bytes and enqueue here; the first
+        #: comparison that needs a digest materialises the whole pending
+        #: set as one batch
+        self.scheduler = InspectionScheduler(self, pending_bytes_cap)
         self._by_node: Dict[int, TrackedFile] = {}
 
     def __len__(self) -> int:
@@ -267,14 +265,13 @@ class FileStateCache:
                 stream=None) -> InspectionResult:
         """Identify and digest ``content`` once, through store + LRU.
 
-        Resolution order: digest LRU (content already inspected by this
-        engine) → attached :class:`~repro.corpus.baselines.BaselineStore`
-        (pristine corpus content, digested once per corpus) → live
+        Resolution order: :meth:`lookup` (digest LRU, then the attached
+        :class:`~repro.corpus.baselines.BaselineStore`) → live
         inspection.  With ``want_digest=False`` a live inspection defers
         the digest: the result is type-and-size only, flagged
         ``deferred``, and never cached — callers retain the bytes and
-        re-inspect when a comparison actually needs the digest, passing
-        back the capture-time ``key`` so the content is hashed once.
+        enqueue them on the scheduler, carrying the capture-time ``key``
+        so the content is hashed once.
 
         ``stream`` is an in-flight
         :class:`~repro.simhash.sdhash.StreamingDigestState` whose bytes
@@ -287,30 +284,12 @@ class FileStateCache:
         """
         if not isinstance(content, bytes):
             content = bytes(content)
-        dc = self.digest_cache
         if key is None and stream is not None:
             key = stream.key()
-        if key is None and (dc.capacity > 0
-                            or self.baseline_store is not None):
-            key = dc.key(content)
-        if dc.capacity > 0:
-            found = dc.get(key)
-            if found is not None:
-                # cached results are always final (digested, or
-                # permanently undigestable) — valid for any want_digest
-                if self.telemetry is not None:
-                    self._resolved("lru", found.size)
-                return found
-        else:
-            dc.misses += 1
-        if self.baseline_store is not None:
-            entry = self.baseline_store.get(key)
-            if entry is not None:
-                dc.store_hits += 1
-                if self.telemetry is not None:
-                    self._resolved("store", entry.size)
-                return entry
-            dc.store_misses += 1
+        found, key = self.lookup(content, key)
+        if found is not None:
+            return found
+        dc = self.digest_cache
         file_type = identify(content)
         can_digest = (self.digests_enabled
                       and len(content) <= self.max_inspect_bytes)
@@ -334,11 +313,47 @@ class FileStateCache:
                 sig = ctph(content)
         result = InspectionResult(file_type, digest, sig, len(content),
                                   can_digest, key=key)
-        if key is not None and dc.capacity > 0:
-            dc.put(key, result)
-        if self.telemetry is not None:
-            self._resolved("live", len(content))
+        self.remember_live(result)
         return result
+
+    def lookup(self, content: bytes, key: Optional[bytes] = None):
+        """Resolve ``content`` from the digest LRU, then the attached
+        store: ``(result, key)`` where ``result`` is None on a miss (the
+        caller digests live) and ``key`` is the content key, hashed here
+        unless the caller already holds it.  Counts and emits exactly one
+        resolution per hit.  Shared by :meth:`inspect` and the
+        scheduler's flush, so both resolve a record the same way.
+        """
+        dc = self.digest_cache
+        store = self.baseline_store
+        if key is None and (dc.capacity > 0 or store is not None):
+            key = dc.key(content)
+        if dc.capacity > 0:
+            found = dc.get(key)
+            if found is not None:
+                # cached results are always final (digested, or
+                # permanently undigestable) — valid for any want_digest
+                if self.telemetry is not None:
+                    self._resolved("lru", found.size)
+                return found, key
+        else:
+            dc.misses += 1
+        if store is not None:
+            entry = store.get(key)
+            if entry is not None:
+                dc.store_hits += 1
+                if self.telemetry is not None:
+                    self._resolved("store", entry.size)
+                return entry, key
+            dc.store_misses += 1
+        return None, key
+
+    def remember_live(self, result: InspectionResult) -> None:
+        """Cache a live inspection under its content key and report it."""
+        if result.key is not None and self.digest_cache.capacity > 0:
+            self.digest_cache.put(result.key, result)
+        if self.telemetry is not None:
+            self._resolved("live", result.size)
 
     def _resolved(self, source: str, size: int) -> None:
         # only called with telemetry attached; stamped off the bus clock
@@ -373,54 +388,36 @@ class FileStateCache:
     def _capture(self, record: TrackedFile, content: bytes,
                  inspection: Optional[InspectionResult] = None) -> None:
         if inspection is None:
-            # With lazy digests on, a capture defers the digest: most
-            # captured baselines are never compared (files that are
-            # deleted, renamed away, or born under the writer), and the
-            # store/LRU still short-circuits the deferral for known bytes.
-            inspection = self.inspect(content,
-                                      want_digest=not self.defer_digests)
+            # A capture defers the digest: most captured baselines are
+            # never compared (files that are deleted, renamed away, or
+            # born under the writer), and the store/LRU still
+            # short-circuits the deferral for known bytes.
+            inspection = self.inspect(content, want_digest=False)
         record.base_type = inspection.file_type
         record.base_size = inspection.size
+        # one of the two is set for this cache's backend; a deferred
+        # inspection has neither until the scheduler's flush
+        record.base_digest = inspection.digest
+        record.base_ctph = inspection.ctph
         if inspection.deferred:
-            record.base_digest = None
-            record.base_ctph = None
             record.pending_content = content
             record.pending_key = inspection.key
-            if self.scheduler is not None:
-                self.scheduler.enqueue(record)
+            self.scheduler.enqueue(record)
         else:
             record.pending_content = None
             record.pending_key = None
-            if self.backend == "sdhash":
-                record.base_digest = inspection.digest
-                record.base_ctph = None
-            else:
-                record.base_ctph = inspection.ctph
-                record.base_digest = None
+            self.scheduler.discard(record.node_id)
         record.has_baseline = True
 
     def materialise_baseline(self, record: TrackedFile) -> None:
         """Digest a deferred baseline now (first comparison needs it).
 
-        With an attached scheduler the demand flushes the *whole* pending
-        set through the batched kernel; otherwise the record materialises
-        alone, reusing its capture-time content key (one hash per close).
+        The demand flushes the *whole* pending set through the batched
+        kernel, so every deferred capture the comparison did not ask for
+        rides along in the same dispatch.
         """
-        if record.pending_content is None:
-            return
-        if self.scheduler is not None:
+        if record.pending_content is not None:
             self.scheduler.flush()
-            if record.pending_content is None:
-                return
-        content = record.pending_content
-        record.pending_content = None
-        key = record.pending_key
-        record.pending_key = None
-        inspection = self.inspect(content, want_digest=True, key=key)
-        if self.backend == "sdhash":
-            record.base_digest = inspection.digest
-        else:
-            record.base_ctph = inspection.ctph
 
     def refresh_baseline(self, node_id: int, path: WinPath, content: bytes,
                          inspection: Optional[InspectionResult] = None
@@ -455,7 +452,7 @@ class FileStateCache:
         moved = self._by_node.get(node_id)
         clobbered = (self._by_node.pop(clobbered_node_id, None)
                      if clobbered_node_id is not None else None)
-        if clobbered is not None and self.scheduler is not None:
+        if clobbered is not None:
             # the clobbered record is gone; its pending bytes travel on
             # the inherited record below (or die with it)
             self.scheduler.discard(clobbered_node_id)
@@ -472,8 +469,11 @@ class FileStateCache:
                 pending_content=clobbered.pending_content,
                 pending_key=clobbered.pending_key)
             self._by_node[node_id] = inherited
-            if (inherited.pending_content is not None
-                    and self.scheduler is not None):
+            # the moved node's own record is replaced, and its pending
+            # slot with it — left behind, the slot would keep counting
+            # bytes no tracked record holds
+            self.scheduler.discard(node_id)
+            if inherited.pending_content is not None:
                 self.scheduler.enqueue(inherited)
             return inherited
         if moved is not None:
@@ -484,8 +484,7 @@ class FileStateCache:
     def on_delete(self, node_id: Optional[int]) -> Optional[TrackedFile]:
         if node_id is None:
             return None
-        if self.scheduler is not None:
-            self.scheduler.discard(node_id)
+        self.scheduler.discard(node_id)
         return self._by_node.pop(node_id, None)
 
     def is_tracked(self, node_id: Optional[int]) -> bool:
@@ -505,11 +504,11 @@ class FileStateCache:
         :class:`~repro.corpus.baselines.BaselineStore` is referenced by
         its descriptor (corpus seed + fingerprint), never embedded.
         """
+        # pending bytes never serialise: drain them as one batch first
+        self.scheduler.flush()
         entries = []
         for node_id in sorted(self._by_node):
             record = self._by_node[node_id]
-            if record.pending_content is not None:
-                self.materialise_baseline(record)
             base_type = record.base_type
             entries.append({
                 "node_id": record.node_id,
@@ -545,8 +544,7 @@ class FileStateCache:
                 f"{descriptor.get('seed')!r}) but this cache has store "
                 f"{self.baseline_store.fingerprint!r} attached")
         self._by_node.clear()
-        if self.scheduler is not None:
-            self.scheduler.clear()
+        self.scheduler.clear()
         self.digest_cache.clear_entries()
         self.digest_cache.load_stats(state.get("digest_cache", {}))
         for entry in state["entries"]:

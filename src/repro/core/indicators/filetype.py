@@ -25,10 +25,12 @@ def type_changed(before: Optional[FileType],
 
     Transitions involving empty files are ignored: a newly created file has
     no previous type to change *from*, and truncation to zero bytes is a
-    deletion-like event handled elsewhere.
+    deletion-like event handled elsewhere.  Compared by value, not
+    identity: a baseline restored from a checkpoint carries an equal but
+    distinct ``FileType``.
     """
     if before is None or after is None:
         return False
-    if before is EMPTY or after is EMPTY:
+    if before == EMPTY or after == EMPTY:
         return False
     return before.name != after.name

@@ -27,7 +27,9 @@ def similarity_score(record: TrackedFile, new_content: bytes,
     """0–100 similarity of ``new_content`` to the record's baseline.
 
     None when either side has no digest (too small, never captured, or the
-    file was born empty under the current writer).
+    file was born empty under the current writer).  A baseline whose
+    digest is still deferred raises ``ValueError``: the caller
+    materialises it through its cache first, as the engine does.
 
     ``inspection`` carries the close path's single
     :class:`~..filestate.InspectionResult` for ``new_content`` so the
@@ -39,15 +41,9 @@ def similarity_score(record: TrackedFile, new_content: bytes,
     if not record.has_baseline or record.born_empty:
         return None
     if record.pending_content is not None:
-        # A lazily captured baseline nobody has materialised yet (the
-        # engine materialises through its cache first, so this only
-        # triggers for standalone callers).  Digests are pure functions
-        # of content, so computing here is bit-identical.
-        pending, record.pending_content = record.pending_content, None
-        if backend == "sdhash":
-            record.base_digest = sdhash(pending)
-        elif backend == "ctph":
-            record.base_ctph = ctph(pending)
+        raise ValueError(
+            "baseline digest is still deferred: materialise it with "
+            "FileStateCache.materialise_baseline before comparing")
     if backend == "sdhash":
         if record.base_digest is None:
             return None

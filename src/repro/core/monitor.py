@@ -66,15 +66,14 @@ class CryptoDropMonitor:
     def close(self) -> None:
         """Graceful shutdown: drain deferred digests, then detach.
 
-        The lazy close path may still hold verdict-relevant pending
+        The deferred close path may still hold verdict-relevant pending
         inspections when the monitor goes away; :meth:`detach` alone
         would silently drop them, so a checkpoint taken after a bare
         detach could disagree with an eager run.  ``close()`` (and the
         context-manager exit, which routes through it) flushes the
         scheduler first so the final state is complete.  Idempotent.
         """
-        if self.engine.scheduler is not None:
-            self.engine.scheduler.close()
+        self.engine.scheduler.close()
         self.detach()
 
     def __enter__(self) -> "CryptoDropMonitor":
@@ -211,10 +210,8 @@ class CryptoDropMonitor:
 
     def flush_inspections(self) -> int:
         """Force the deferred-digest scheduler to materialise its pending
-        set now; returns how many records were drained (0 when batching
-        is off or nothing is pending)."""
-        if self.engine.scheduler is None:
-            return 0
+        set now; returns how many records were drained (0 when nothing
+        is pending)."""
         return self.engine.scheduler.flush()
 
     def stats(self) -> dict:
@@ -226,8 +223,7 @@ class CryptoDropMonitor:
             "detections": len(self.engine.detections),
             "processes_scored": len(self.engine.scoreboard.rows()),
             "digest_cache": self.engine.cache.digest_cache.stats(),
-            "scheduler": (None if self.engine.scheduler is None
-                          else self.engine.scheduler.stats()),
+            "scheduler": self.engine.scheduler.stats(),
             "streaming": self.engine.stream_stats(),
             "op_wall_us": dict(self.engine.op_wall_us),
         }

@@ -1,29 +1,24 @@
 """Deferred inspection scheduling — the batched close path.
 
-With ``lazy_close_digests`` on, baseline captures keep their bytes and
-postpone the similarity digest until a comparison first needs it
-(:class:`~repro.core.filestate.FileStateCache` marks these records via
-``pending_content``).  The scalar reference path materialises each record
-individually; :class:`InspectionScheduler` instead *collects* the pending
-set and materialises all of it through the batched
-:func:`~repro.simhash.sdhash.digest_many` kernel the moment any one
-digest is demanded — one numpy dispatch per flush instead of one per
-file.
+Baseline captures keep their bytes and postpone the similarity digest
+until a comparison first needs it (:class:`~repro.core.filestate.FileStateCache`
+marks these records via ``pending_content``).  :class:`InspectionScheduler`
+collects the pending set and materialises all of it through the batched
+:func:`~repro.simhash.sdhash.digest_many` kernel the moment any one digest
+is demanded — one numpy dispatch per flush instead of one per file.
 
-The identity contract: a flush is always synchronous and always runs
-*before* the demanding consumer proceeds (comparison, checkpoint,
-explicit ``flush_inspections``), and a digest is a pure function of
-content, so detection output — scores, verdicts, timelines — is
-bit-identical whether digests are materialised one at a time, batched,
-or eagerly (``batch_digests`` and ``lazy_close_digests`` off).  Score
-reads deliberately do *not* flush: scores only move inside
-``post_operation``, where any comparison has already materialised its
-digests, so a record still pending at read time is provably
-score-neutral — draining it would digest bytes the lazy reference path
-never touches.  Per-record resolution inside a flush
-mirrors :meth:`FileStateCache.inspect` step for step: digest-LRU probe,
-corpus-store probe, then the live kernel for the remainder, with the
-same counters and ``BaselineResolved`` telemetry per record.
+A flush is always synchronous and always runs *before* the demanding
+consumer proceeds (comparison, checkpoint, explicit
+``flush_inspections``), and a digest is a pure function of content, so
+detection output — scores, verdicts, timelines — equals that of an
+engine that digests every version the moment it sees it
+(``tests/reference.py`` keeps that eager reference).  Score reads
+deliberately do *not* flush: scores only move inside ``post_operation``,
+where any comparison has already materialised its digests, so a record
+still pending at read time is provably score-neutral.  Each record in a
+flush resolves through :meth:`FileStateCache.lookup` — digest LRU, then
+corpus store — exactly as :meth:`FileStateCache.inspect` does, and only
+the remainder goes to the live kernel.
 """
 
 from __future__ import annotations
@@ -40,13 +35,13 @@ __all__ = ["InspectionScheduler"]
 class InspectionScheduler:
     """Collects deferred-digest records and flushes them as one batch.
 
-    Owned by the engine (behind the ``batch_digests`` config knob) and
-    attached to its :class:`~repro.core.filestate.FileStateCache`, which
+    Owned by a :class:`~repro.core.filestate.FileStateCache`, which
     enqueues a record whenever a capture defers its digest and calls
     :meth:`flush` from ``materialise_baseline``.  Keyed by node id: a
-    record replaced under the same node (rename linking, re-capture)
-    simply overwrites its slot, so orphaned pending bytes are never
-    digested.
+    record replaced under the same node (re-capture) overwrites its slot,
+    and the cache discards the slot of a record it drops or replaces
+    (delete, rename clobber, rename linking), so orphaned pending bytes
+    are never digested.
     """
 
     __slots__ = ("cache", "telemetry", "_pending", "_pending_sizes",
@@ -54,10 +49,9 @@ class InspectionScheduler:
                  "flushes", "materialised", "live_digests", "bytes_live",
                  "max_batch", "closes")
 
-    def __init__(self, cache, telemetry=None,
-                 pending_bytes_cap: int = 0) -> None:
+    def __init__(self, cache, pending_bytes_cap: int = 0) -> None:
         self.cache = cache
-        self.telemetry = telemetry
+        self.telemetry = cache.telemetry
         self._pending: Dict[int, object] = {}
         #: exact bytes recorded per pending node — re-captures of the same
         #: node replace their slot, so the tally is a replace, not an add
@@ -127,80 +121,52 @@ class InspectionScheduler:
     def flush(self) -> int:
         """Materialise every pending digest now; returns records drained.
 
-        Records resolve exactly as ``FileStateCache.inspect`` would —
-        LRU, then corpus store, then live — but the live remainder goes
-        through :func:`digest_many` in one batch.  The cached inspection
-        reuses the record's capture-time file type and content key, both
-        pure functions of the same bytes.
+        Records resolve through ``FileStateCache.lookup`` — LRU, then
+        corpus store — like ``FileStateCache.inspect``, but the live
+        remainder goes through :func:`digest_many` in one batch.  The
+        cached inspection reuses the record's capture-time file type and
+        content key, both pure functions of the same bytes.
         """
         if not self._pending:
             return 0
-        pending = [rec for rec in self._pending.values()
-                   if rec.pending_content is not None]
+        pending = list(self._pending.values())
         self._pending.clear()
         self._pending_sizes.clear()
         self.pending_bytes = 0
         if self.telemetry is not None:
             self.telemetry.scheduler_pending_bytes.set(0)
-        if not pending:
-            return 0
         cache = self.cache
-        dc = cache.digest_cache
-        store = cache.baseline_store
         live_records = []
         live_contents = []
         live_keys = []
         for record in pending:
             content = record.pending_content
             record.pending_content = None
-            key = record.pending_key
+            found, key = cache.lookup(content, record.pending_key)
             record.pending_key = None
-            if key is None and (dc.capacity > 0 or store is not None):
-                key = dc.key(content)
-            if dc.capacity > 0:
-                found = dc.get(key)
-                if found is not None:
-                    if cache.telemetry is not None:
-                        cache._resolved("lru", found.size)
-                    self._install(record, found)
-                    continue
-            else:
-                dc.misses += 1
-            if store is not None:
-                entry = store.get(key)
-                if entry is not None:
-                    dc.store_hits += 1
-                    if cache.telemetry is not None:
-                        cache._resolved("store", entry.size)
-                    self._install(record, entry)
-                    continue
-                dc.store_misses += 1
+            if found is not None:
+                record.base_digest = found.digest
+                record.base_ctph = found.ctph
+                continue
             live_records.append(record)
             live_contents.append(content)
             live_keys.append(key)
         live = len(live_records)
-        bytes_live = 0
+        bytes_live = sum(len(content) for content in live_contents)
         if live:
             from .filestate import InspectionResult
-            digests = (digest_many(live_contents)
-                       if cache.backend == "sdhash" else None)
-            for idx, record in enumerate(live_records):
-                content = live_contents[idx]
-                bytes_live += len(content)
-                dc.bytes_digested += len(content)
-                if digests is not None:
-                    result = InspectionResult(
-                        record.base_type, digests[idx], None, len(content),
-                        digested=True, key=live_keys[idx])
-                else:
-                    result = InspectionResult(
-                        record.base_type, None, ctph(content), len(content),
-                        digested=True, key=live_keys[idx])
-                if live_keys[idx] is not None and dc.capacity > 0:
-                    dc.put(live_keys[idx], result)
-                if cache.telemetry is not None:
-                    cache._resolved("live", len(content))
-                self._install(record, result)
+            sdhash_backend = cache.backend == "sdhash"
+            digests = (digest_many(live_contents) if sdhash_backend
+                       else [None] * live)
+            cache.digest_cache.bytes_digested += bytes_live
+            for record, content, key, digest in zip(
+                    live_records, live_contents, live_keys, digests):
+                sig = None if sdhash_backend else ctph(content)
+                cache.remember_live(InspectionResult(
+                    record.base_type, digest, sig, len(content),
+                    digested=True, key=key))
+                record.base_digest = digest
+                record.base_ctph = sig
         drained = len(pending)
         self.flushes += 1
         self.materialised += drained
@@ -216,12 +182,6 @@ class InspectionScheduler:
                 t.bus.clock_us, pending=drained, live=live,
                 bytes_live=bytes_live))
         return drained
-
-    def _install(self, record, inspection) -> None:
-        if self.cache.backend == "sdhash":
-            record.base_digest = inspection.digest
-        else:
-            record.base_ctph = inspection.ctph
 
     def stats(self) -> dict:
         return {

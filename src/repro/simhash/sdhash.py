@@ -490,9 +490,7 @@ class StreamingDigestState:
     feature positions, plus the finished filters (256 B / 160 features).
 
     A running ``blake2b-16`` mirrors :class:`~repro.core.filestate.DigestCache`
-    keys so the close path gets its cache key in O(1) too; it is dropped
-    by :meth:`to_state` (hashers do not serialise), so restored states
-    return ``None`` from :meth:`key`.
+    keys so the close path gets its cache key in O(1) too.
     """
 
     __slots__ = ("total", "min_stream_bytes", "consumed", "chunks_consumed",
@@ -533,8 +531,7 @@ class StreamingDigestState:
         chunk = _as_bytes(chunk)
         if not chunk:
             return
-        if self._hasher is not None:
-            self._hasher.update(chunk)
+        self._hasher.update(chunk)
         self.total += len(chunk)
         if self._chunks is not None:
             self._chunks.append(chunk)
@@ -544,11 +541,8 @@ class StreamingDigestState:
             return
         self._consume(chunk)
 
-    def key(self) -> Optional[bytes]:
-        """The :class:`DigestCache` key of the bytes seen so far, or
-        ``None`` on a checkpoint-restored state (hasher not serialisable)."""
-        if self._hasher is None:
-            return None
+    def key(self) -> bytes:
+        """The :class:`DigestCache` key of the bytes seen so far."""
         return self._hasher.copy().digest()
 
     def finalize(self) -> Optional[SdDigest]:
@@ -652,66 +646,6 @@ class StreamingDigestState:
             rest = stacked[MAX_FEATURES:]
             self._pos_rows = [rest] if rest.shape[0] else []
             self._pos_count = int(rest.shape[0])
-
-    # -- checkpoint serialization (JSON-safe, exact) -------------------
-
-    def to_state(self) -> dict:
-        """JSON-safe snapshot of the in-flight stream.  Restored states
-        continue bit-identically; only the cache-key hasher is dropped."""
-        state = {
-            "min_stream_bytes": self.min_stream_bytes,
-            "total": self.total,
-            "chunks_consumed": self.chunks_consumed,
-        }
-        if self._chunks is not None:
-            state["mode"] = "buffered"
-            state["chunks"] = [c.hex() for c in self._chunks]
-            return state
-        state["mode"] = "streaming"
-        state["tail"] = self._tail.hex()
-        # -inf is not JSON-encodable; None is the sentinel.  Finite float64
-        # round-trips exactly through repr/JSON.
-        state["left"] = [None if e == -np.inf else float(e)
-                         for e in self._left]
-        state["pend_ent"] = [float(e) for e in self._pend_ent]
-        state["pend_win"] = self._pend_win.tobytes().hex()
-        state["positions"] = [rows.tolist() for rows in self._pos_rows]
-        state["filters"] = [{"bits": f.packed().tobytes().hex(),
-                             "count": f.count} for f in self.filters]
-        state["n_features"] = self.n_features
-        return state
-
-    @classmethod
-    def from_state(cls, state: dict) -> "StreamingDigestState":
-        st = cls(min_stream_bytes=int(state["min_stream_bytes"]))
-        st.total = int(state["total"])
-        st.chunks_consumed = int(state["chunks_consumed"])
-        st._hasher = None
-        if state["mode"] == "buffered":
-            st._chunks = [bytes.fromhex(c) for c in state["chunks"]]
-            st._chunk_bytes = sum(len(c) for c in st._chunks)
-            return st
-        st._chunks = None
-        st._streamed = st.total
-        st._tail = bytes.fromhex(state["tail"])
-        st._left = np.array([-np.inf if e is None else e
-                             for e in state["left"]], dtype=np.float64)
-        st._pend_ent = np.array(state["pend_ent"], dtype=np.float64)
-        pend = np.frombuffer(bytes.fromhex(state["pend_win"]),
-                             dtype=np.uint8)
-        st._pend_win = pend.reshape(-1, WINDOW).copy()
-        st._pos_rows = [np.array(rows, dtype=np.int64)
-                        for rows in state["positions"]]
-        st._pos_count = sum(r.shape[0] for r in st._pos_rows)
-        for entry in state["filters"]:
-            filt = BloomFilter()
-            packed = np.frombuffer(bytes.fromhex(entry["bits"]),
-                                   dtype=np.uint8)
-            filt.bits = np.unpackbits(packed).astype(bool)[:len(filt.bits)]
-            filt.count = int(entry["count"])
-            st.filters.append(filt)
-        st.n_features = int(state["n_features"])
-        return st
 
 
 def _ordered(a: SdDigest, b: SdDigest) -> tuple:

@@ -122,8 +122,8 @@ class BaselineResolved(TelemetryEvent):
     """One inspection resolved, tagged by where the digest came from.
 
     ``source`` is one of ``lru`` (digest-cache hit), ``store`` (corpus
-    BaselineStore hit), ``live`` (digested now), or ``deferred`` (lazy
-    close path: type-only, digest postponed).
+    BaselineStore hit), ``live`` (digested now), or ``deferred``
+    (type-only, digest postponed to the scheduler).
     """
 
     kind: ClassVar[str] = "baseline_resolved"

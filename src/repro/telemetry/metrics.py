@@ -354,7 +354,7 @@ def engine_snapshot(engine,
     store.set(stats.store_hits, result="hit")
     store.set(stats.store_misses, result="miss")
     registry.gauge("cryptodrop_deferred_digests",
-                   "inspections whose digest was deferred (lazy close)"
+                   "inspections whose digest was deferred to the scheduler"
                    ).set(stats.deferred_digests)
     volume = registry.gauge("cryptodrop_bytes",
                             "content bytes through the inspection paths")
@@ -402,12 +402,10 @@ def engine_snapshot(engine,
                        "baseline-store entries resident in memory"
                        ).set(paging.get("resident", 0),
                              storage=paging.get("storage", "dict"))
-    scheduler = getattr(eng, "scheduler", None)
-    if scheduler is not None:
-        registry.gauge(
-            "cryptodrop_scheduler_pending_bytes",
-            "content bytes retained by deferred (pending) inspections"
-            ).set(scheduler.pending_bytes)
+    registry.gauge(
+        "cryptodrop_scheduler_pending_bytes",
+        "content bytes retained by deferred (pending) inspections"
+        ).set(eng.scheduler.pending_bytes)
     return registry
 
 

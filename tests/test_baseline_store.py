@@ -3,10 +3,10 @@
 Covers the precomputed baseline index end to end: store construction and
 dedup, first-touch baseline resolution with zero digesting, live-digest
 fallback for mutated content, bit-identical detection across
-store/store-less/serial/parallel execution, the lazy close-digest path,
-checkpoint identity (store referenced by descriptor, never embedded),
-and the worker-count / perf-aggregation plumbing around the campaign
-executor.
+store/store-less/serial/parallel execution, the lazy close-digest path
+against the eager reference (``tests/reference.py``), checkpoint identity
+(store referenced by descriptor, never embedded), and the worker-count /
+perf-aggregation plumbing around the campaign executor.
 """
 
 import pytest
@@ -20,6 +20,8 @@ from repro.sandbox import (VirtualMachine, run_campaign,
                            run_campaign_parallel, store_for_config)
 from repro.sandbox.parallel import _resolve_workers
 from repro.simhash.sdhash import compare as sdhash_compare
+
+from tests.reference import eager_reference
 
 
 @pytest.fixture(scope="module")
@@ -127,11 +129,9 @@ class TestCampaignEquality:
     @pytest.fixture(scope="class")
     def legs(self, corpus):
         profiles = _profiles()
-        eager = CryptoDropConfig(lazy_close_digests=False)
         return {
-            "bench2": run_campaign([instantiate(p) for p in profiles],
-                                   corpus, eager,
-                                   use_baseline_store=False),
+            "storeless": run_campaign([instantiate(p) for p in profiles],
+                                      corpus, use_baseline_store=False),
             "store": run_campaign([instantiate(p) for p in profiles],
                                   corpus),
             "parallel": run_campaign_parallel(
@@ -139,15 +139,15 @@ class TestCampaignEquality:
         }
 
     def test_detection_identical_across_modes(self, legs):
-        assert _fingerprint(legs["bench2"]) == _fingerprint(legs["store"]) \
-            == _fingerprint(legs["parallel"])
+        assert _fingerprint(legs["storeless"]) == \
+            _fingerprint(legs["store"]) == _fingerprint(legs["parallel"])
 
     def test_store_leg_used_the_store(self, legs):
         perf = legs["store"].perf_stats()
         assert perf["digest_cache"]["store_hits"] > 0
         assert perf["baseline_store"] is not None
         assert perf["bytes_digested"] < \
-            legs["bench2"].perf_stats()["bytes_digested"]
+            legs["storeless"].perf_stats()["bytes_digested"]
 
     def test_campaign_perf_aggregates_samples(self, legs):
         perf = legs["store"].perf_stats()
@@ -170,15 +170,16 @@ class TestCampaignEquality:
 
 class TestLazyCloseDigests:
     def test_lazy_and_eager_score_identically(self, corpus):
+        # lazy: the engine's deferred captures; eager: the reference
         profiles = _profiles()
         lazy = run_campaign([instantiate(p) for p in profiles], corpus,
-                            CryptoDropConfig(lazy_close_digests=True),
                             use_baseline_store=False)
-        eager = run_campaign([instantiate(p) for p in profiles], corpus,
-                             CryptoDropConfig(lazy_close_digests=False),
-                             use_baseline_store=False)
+        with eager_reference():
+            eager = run_campaign([instantiate(p) for p in profiles], corpus,
+                                 use_baseline_store=False)
         assert _fingerprint(lazy) == _fingerprint(eager)
         assert lazy.perf_stats()["deferred_digests"] > 0
+        # deferral skips the digests no comparison needs
         assert lazy.perf_stats()["bytes_digested"] <= \
             eager.perf_stats()["bytes_digested"]
 

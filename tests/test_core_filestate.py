@@ -26,6 +26,9 @@ class TestBaselineCapture:
         record = cache.ensure_baseline(1, DOC, _content(1))
         assert record.has_baseline
         assert record.base_type.name == "txt"
+        # the capture defers its digest until a comparison asks for it
+        assert record.base_digest is None
+        cache.materialise_baseline(record)
         assert record.base_digest is not None
 
     def test_second_ensure_keeps_original_baseline(self, cache):
@@ -45,6 +48,7 @@ class TestBaselineCapture:
 
     def test_small_content_has_no_digest(self, cache):
         record = cache.ensure_baseline(1, DOC, b"x" * 100)
+        cache.materialise_baseline(record)
         assert record.has_baseline and record.base_digest is None
 
     def test_oversize_content_skips_digest(self):

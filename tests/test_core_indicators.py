@@ -10,7 +10,7 @@ from repro.core import (ProcessDeletionState, ProcessEntropyState,
 from repro.core.filestate import FileStateCache
 from repro.corpus.wordlists import paragraphs
 from repro.fs import WinPath
-from repro.magic import EMPTY, FILE_TYPES, identify
+from repro.magic import EMPTY, FILE_TYPES, FileType, identify
 
 
 def _text(seed, n=12000):
@@ -81,6 +81,13 @@ class TestTypeChangeIndicator:
     def test_empty_after_ignored(self):
         assert not type_changed(FILE_TYPES["pdf"], EMPTY)
 
+    def test_restored_empty_ignored(self):
+        # a checkpoint restore rebuilds the type: equal to EMPTY, not it
+        restored = FileType(EMPTY.name, EMPTY.description, EMPTY.category,
+                            EMPTY.is_high_entropy)
+        assert restored is not EMPTY
+        assert not type_changed(restored, FILE_TYPES["txt"])
+
     def test_none_ignored(self):
         assert not type_changed(None, FILE_TYPES["pdf"])
         assert not type_changed(FILE_TYPES["pdf"], None)
@@ -93,9 +100,11 @@ class TestTypeChangeIndicator:
 
 
 class TestSimilarityIndicator:
-    def _record(self, data):
-        cache = FileStateCache()
-        return cache.ensure_baseline(1, WinPath(r"C:\d\f"), data)
+    def _record(self, data, backend="sdhash"):
+        cache = FileStateCache(backend=backend)
+        record = cache.ensure_baseline(1, WinPath(r"C:\d\f"), data)
+        cache.materialise_baseline(record)
+        return record
 
     def test_encryption_collapses(self):
         data = _text(7)
@@ -121,12 +130,17 @@ class TestSimilarityIndicator:
         assert similarity_score(record, _text(9)) is None
 
     def test_ctph_backend(self):
-        cache = FileStateCache(backend="ctph")
         data = _text(10)
-        record = cache.ensure_baseline(1, WinPath(r"C:\d\f"), data)
+        record = self._record(data, backend="ctph")
         score = similarity_score(record, random.Random(10).randbytes(len(data)),
                                  backend="ctph")
         assert similarity_collapsed(score)
+
+    def test_deferred_baseline_rejected(self):
+        cache = FileStateCache()
+        record = cache.ensure_baseline(1, WinPath(r"C:\d\f"), _text(12))
+        with pytest.raises(ValueError, match="deferred"):
+            similarity_score(record, _text(12))
 
     def test_unknown_backend_rejected(self):
         record = self._record(_text(11))

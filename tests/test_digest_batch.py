@@ -1,14 +1,15 @@
-"""Batched digest kernel + deferred inspection scheduler (ISSUE 5).
-
-Three bit-identity contracts, each against its scalar reference path:
+"""Batched digest kernel + deferred inspection scheduler.
 
 * :func:`digest_many` / :func:`compare_many` must produce byte-identical
   digests and integer scores to the per-file vectorised and scalar
   implementations over ragged batches — empty inputs, sub-window blobs,
   boundary sizes, multi-group spans.
-* The :class:`InspectionScheduler` must leave detection output — scores,
-  verdicts, timelines — bit-identical with ``batch_digests`` on or off,
-  while actually routing deferred captures through the batched kernel.
+* The :class:`InspectionScheduler` must really route deferred captures
+  through the batched kernel, flush on demand, and account its pending
+  bytes exactly — and the batched engine's detection output and
+  checkpoints must equal the eager reference's (``tests/reference.py``,
+  which has no scheduler; random op sequences against it are
+  ``tests/test_differential.py``).
 * The incremental write-entropy path (running per-handle histograms fed
   through ``corrected_entropy_from_counts``) must equal re-counting the
   full stream, and the batched store build must equal the serial one.
@@ -21,8 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core import CryptoDropConfig, CryptoDropMonitor
-from repro.core.filestate import DigestCache
-from repro.core.schedule import InspectionScheduler
+from repro.core.filestate import DigestCache, FileStateCache
 from repro.corpus.baselines import BaselineStore
 from repro.corpus.wordlists import paragraphs
 from repro.crypto import chacha20_xor
@@ -32,6 +32,9 @@ from repro.entropy import (WeightedEntropyMean, corrected_entropies_from_histogr
 from repro.fs import DOCUMENTS, ProcessSuspended, TEMP, VirtualFileSystem
 from repro.simhash import compare, compare_many, digest_many, sdhash
 from repro.simhash.sdhash import MIN_DIGEST_BYTES, WINDOW, sdhash_scalar
+
+from tests.reference import (detection_output, eager_reference,
+                             verdict_checkpoint)
 
 KEY, NONCE = bytes(32), bytes(12)
 
@@ -154,53 +157,40 @@ def _run_encryptor(vfs, monitor, pid):
         pass
 
 
-def _detection_output(monitor, pid):
-    """Everything the ISSUE's identity invariant covers: verdicts,
-    score trajectories, and the telemetry-rebuilt timeline."""
-    report = monitor.export_report()
-    timeline = monitor.timeline(root_pid=monitor.engine._root_pid(pid))
-    return {
-        "detections": report["detections"],
-        "processes": report["processes"],
-        "timeline": [(e.timestamp_us, e.indicator, e.points,
-                      e.score_after, e.path) for e in timeline.entries],
-        "union": None if timeline.union is None
-                 else (timeline.union.timestamp_us,
-                       timeline.union.score_after,
-                       timeline.union.threshold_after),
-    }
-
-
 class TestSchedulerIdentity:
-    def test_detection_output_identical_batch_on_off(self, env):
-        outputs = []
-        for batching in (True, False):
-            vfs, monitor, pid = env(batch_digests=batching)
-            _run_encryptor(vfs, monitor, pid)
-            outputs.append(_detection_output(monitor, pid))
-            monitor.detach()
-        assert outputs[0] == outputs[1]
+    """The scheduler is the engine's only digest path, and it runs.  The
+    "off" side of each comparison is the eager reference."""
 
-    def test_eager_path_identical_too(self, env):
-        vfs, monitor, pid = env(lazy_close_digests=False,
-                                batch_digests=False)
-        _run_encryptor(vfs, monitor, pid)
-        eager = _detection_output(monitor, pid)
+    def test_detection_output_identical_batch_on_off(self, env):
         vfs, monitor, pid = env()
         _run_encryptor(vfs, monitor, pid)
-        assert _detection_output(monitor, pid) == eager
+        batched = detection_output(monitor, pid)
+        assert batched["detections"]
+        with eager_reference():
+            vfs, monitor, pid = env()
+            _run_encryptor(vfs, monitor, pid)
+        assert detection_output(monitor, pid) == batched
+
+    def test_eager_path_identical_too(self, env):
+        # a one-byte watermark flushes every capture as it is enqueued:
+        # the production path at its most eager
+        vfs, monitor, pid = env(scheduler_pending_bytes_cap=1)
+        _run_encryptor(vfs, monitor, pid)
+        assert monitor.stats()["scheduler"]["forced_flushes"] >= 1
+        eager = detection_output(monitor, pid)
+        with eager_reference():
+            vfs, monitor, pid = env()
+            _run_encryptor(vfs, monitor, pid)
+        assert detection_output(monitor, pid) == eager
 
     def test_checkpoints_identical_batch_on_off(self, env):
-        states = []
-        for batching in (True, False):
-            vfs, monitor, pid = env(batch_digests=batching)
+        vfs, monitor, pid = env()
+        _run_encryptor(vfs, monitor, pid)
+        batched = verdict_checkpoint(monitor)
+        with eager_reference():
+            vfs, monitor, pid = env()
             _run_encryptor(vfs, monitor, pid)
-            state = monitor.checkpoint()
-            # the knob changes how digests materialise, never their value
-            del state["telemetry"]
-            del state["op_wall_us"]
-            states.append(state)
-        assert states[0] == states[1]
+        assert verdict_checkpoint(monitor) == batched
 
     def test_batched_run_actually_flushes(self, env):
         vfs, monitor, pid = env()
@@ -209,12 +199,6 @@ class TestSchedulerIdentity:
         assert stats["flushes"] >= 1
         assert stats["materialised"] >= 1
         assert stats["max_batch"] >= 1
-
-    def test_batch_off_has_no_scheduler(self, env):
-        vfs, monitor, pid = env(batch_digests=False)
-        assert monitor.engine.scheduler is None
-        assert monitor.stats()["scheduler"] is None
-        assert monitor.flush_inspections() == 0
 
 
 class TestSchedulerMechanics:
@@ -281,6 +265,31 @@ class TestSchedulerMechanics:
         assert found is not None and found.digested
         vfs.close(pid, handle)
 
+    def test_move_over_releases_the_moved_slot(self, env):
+        # Class-C move-over: a new file, closed (its digest deferred), is
+        # renamed over a document whose baseline is already digested.  The
+        # moved node's record is replaced by the linked one, and its
+        # pending slot must go with it.
+        vfs, monitor, pid = env()
+        scheduler = monitor.engine.scheduler
+        victim = DOCUMENTS / "doc7.txt"
+        _encrypt_in_place(vfs, pid, victim)      # victim baseline digested
+        assert scheduler.pending_bytes == 0
+        staged = DOCUMENTS / "doc7.txt.new"
+        handle = vfs.open(pid, staged, "w", create=True)
+        vfs.write(pid, handle, _text(70, 4000)[:3139])
+        vfs.close(pid, handle)
+        assert scheduler.pending_bytes == 3139
+        vfs.rename(pid, staged, victim)
+        record = monitor.engine.cache.get(vfs.peek_stat(victim).node_id)
+        assert record.pending_content is None
+        assert scheduler.pending_bytes == 0 and len(scheduler) == 0
+        gauge = monitor.telemetry_export()["metrics"][
+            "cryptodrop_scheduler_pending_bytes"]["state"]
+        assert gauge[0][1] == 0.0
+        # nothing orphaned is left for the next flush to resolve
+        assert monitor.flush_inspections() == 0
+
     def test_restore_clears_pending(self, env):
         vfs, monitor, pid = env()
         handle = vfs.open(pid, DOCUMENTS / "doc4.txt", "rw")
@@ -296,11 +305,8 @@ class TestSchedulerMechanics:
     def test_flush_mirrors_inspect_counters(self):
         # storeless, LRU off: every flushed record must count one miss
         # and digest live, exactly as scalar inspect() would
-        cache = __import__("repro.core.filestate",
-                           fromlist=["FileStateCache"]).FileStateCache(
-            digest_cache_entries=0, defer_digests=True)
-        scheduler = InspectionScheduler(cache)
-        cache.scheduler = scheduler
+        cache = FileStateCache(digest_cache_entries=0)
+        scheduler = cache.scheduler
         blobs = [_text(20), _text(21), _text(20)]
         for i, blob in enumerate(blobs):
             cache.ensure_baseline(100 + i, DOCUMENTS / f"f{i}.txt", blob)

@@ -366,15 +366,12 @@ class TestGracefulShutdownFlush:
 
     def test_close_drains_digest_queued_just_before_shutdown(self):
         vfs, pid = self._machine_with_pending()
-        config = CryptoDropConfig(lazy_close_digests=True,
-                                  batch_digests=True)
-        with CryptoDropMonitor(vfs, config) as monitor:
+        with CryptoDropMonitor(vfs) as monitor:
             path = DOCUMENTS / "pending.txt"
             handle = vfs.open(pid, path, "rw", create=True)
             vfs.write(pid, handle, b"verdict-relevant bytes " * 64)
             vfs.close(pid, handle)
             scheduler = monitor.engine.scheduler
-            assert scheduler is not None
             assert len(scheduler) > 0  # digest really was deferred
         # context exit routed through close(): flushed, not dropped
         stats = scheduler.stats()
@@ -385,9 +382,7 @@ class TestGracefulShutdownFlush:
 
     def test_supervisor_stop_flushes_like_close(self):
         vfs, pid = self._machine_with_pending()
-        supervisor = MonitorSupervisor(
-            vfs, CryptoDropConfig(lazy_close_digests=True,
-                                  batch_digests=True))
+        supervisor = MonitorSupervisor(vfs)
         monitor = supervisor.start()
         path = DOCUMENTS / "pending.txt"
         handle = vfs.open(pid, path, "rw", create=True)

@@ -14,19 +14,36 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import ProcessEntropyState
+from repro.corpus.wordlists import paragraphs
+from repro.crypto import chacha20_xor
 from repro.entropy import shannon_entropy
 from repro.fs import DOCUMENTS, FsError, VirtualFileSystem
 from repro.simhash import compare_bytes
 
+
+def _text(seed, n):
+    return paragraphs(random.Random(seed), n).encode()
+
+
 _NAMES = ("alpha.txt", "Beta.bin", "gamma.dat", "DELTA.tmp", "note.md")
-_PAYLOADS = (b"", b"x", b"hello world", bytes(range(200)), b"Z" * 5000)
+#: small and degenerate payloads, plus text and ciphertext above sdhash's
+#: 512-byte floor so similarity, entropy and type change all get a say
+_PAYLOADS = (b"", b"x", b"hello world", bytes(range(200)), b"Z" * 5000,
+             _text(1, 900), _text(2, 4000),
+             chacha20_xor(bytes(32), bytes(12), _text(2, 4000)),
+             random.Random(3).randbytes(2048))
+_CHUNKS = (61, 512, 1500)
 
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("write"), st.sampled_from(_NAMES),
                   st.sampled_from(_PAYLOADS)),
+        st.tuples(st.just("chunked"), st.sampled_from(_NAMES),
+                  st.tuples(st.sampled_from(_PAYLOADS),
+                            st.sampled_from(_CHUNKS))),
         st.tuples(st.just("append"), st.sampled_from(_NAMES),
                   st.sampled_from(_PAYLOADS)),
+        st.tuples(st.just("read"), st.sampled_from(_NAMES), st.none()),
         st.tuples(st.just("delete"), st.sampled_from(_NAMES), st.none()),
         st.tuples(st.just("rename"), st.sampled_from(_NAMES),
                   st.sampled_from(_NAMES)),
@@ -43,6 +60,12 @@ def _apply(vfs, pid, oracle, op):
         if kind == "write":
             vfs.write_file(pid, path, arg)
             oracle[name.lower()] = arg
+        elif kind == "chunked":
+            payload, chunk_size = arg
+            vfs.write_file(pid, path, payload, chunk_size=chunk_size)
+            oracle[name.lower()] = payload
+        elif kind == "read":
+            vfs.read_file(pid, path)
         elif kind == "append":
             handle = vfs.open(pid, path, "a", create=True)
             try:

@@ -1,4 +1,4 @@
-"""Streaming incremental digests (ISSUE 7).
+"""Streaming incremental digests.
 
 The contract under test, layer by layer:
 
@@ -6,17 +6,15 @@ The contract under test, layer by layer:
   whole-buffer :func:`sdhash` for *every* chunking of the same bytes —
   including chunks smaller than one ``WINDOW``, anchors whose context
   straddles chunk boundaries, and the ``None`` gates (size / feature
-  floors) — and its in-flight state must survive a JSON checkpoint
-  round-trip without perturbing the result.
+  floors).
 * The engine must stream append-only write patterns and fall back to the
   whole-content close path (counted per reason) on anything else:
   overwrites, seeks, truncates, handle interleaving, length mismatches.
-* Detection output — scores, verdicts, timelines, recorded baselines —
-  must be bit-identical with ``streaming_digests`` on or off, in plain
+* Detection output and checkpoints with streams must equal the eager
+  reference's (``tests/reference.py``, which never streams), in plain
   runs and under an injected-fault chaos campaign.
 """
 
-import json
 import random
 
 import pytest
@@ -34,6 +32,9 @@ from repro.simhash.sdhash import (MIN_DIGEST_BYTES, WINDOW,
                                   StreamingDigestState, _STREAM_TAIL,
                                   sdhash_scalar)
 from repro.telemetry import StreamDigestFinalized, event_from_dict
+
+from tests.reference import (detection_output, eager_reference,
+                             verdict_checkpoint)
 
 KEY, NONCE = bytes(32), bytes(12)
 
@@ -164,37 +165,6 @@ class TestBufferedMode:
         assert state.total == 1000
 
 
-class TestCheckpointRestore:
-    def _roundtrip(self, state):
-        return StreamingDigestState.from_state(
-            json.loads(json.dumps(state.to_state())))
-
-    def test_midstream_cuts_preserve_identity(self):
-        content = _text(10, 30_000)
-        ref = sdhash(content)
-        for cut in (0, 1, 999, len(content) // 2, len(content) - 1):
-            state = _stream(_chunked(content[:cut], 900))
-            restored = self._roundtrip(state)
-            for chunk in _chunked(content[cut:], 900):
-                restored.update(chunk)
-            _assert_same(restored.finalize(), ref)
-
-    def test_buffered_state_roundtrips(self):
-        content = _text(11, 4000)
-        state = _stream(_chunked(content[:2000], 300),
-                        min_stream_bytes=10 ** 9)
-        restored = self._roundtrip(state)
-        assert not restored.streaming
-        for chunk in _chunked(content[2000:], 300):
-            restored.update(chunk)
-        _assert_same(restored.finalize(), sdhash(content))
-
-    def test_restored_state_has_no_cache_key(self):
-        state = _stream(_chunked(_text(12, 2000), 500))
-        assert state.key() is not None
-        assert self._roundtrip(state).key() is None
-
-
 @pytest.fixture
 def env():
     def make(**overrides):
@@ -232,23 +202,6 @@ def _append_file(vfs, pid, path, chunks):
     for chunk in chunks:
         vfs.write(pid, handle, chunk)
     vfs.close(pid, handle)
-
-
-def _detection_output(monitor, pid):
-    """Everything the ISSUE's identity invariant covers: verdicts,
-    score trajectories, and the telemetry-rebuilt timeline."""
-    report = monitor.export_report()
-    timeline = monitor.timeline(root_pid=monitor.engine._root_pid(pid))
-    return {
-        "detections": report["detections"],
-        "processes": report["processes"],
-        "timeline": [(e.timestamp_us, e.indicator, e.points,
-                      e.score_after, e.path) for e in timeline.entries],
-        "union": None if timeline.union is None
-                 else (timeline.union.timestamp_us,
-                       timeline.union.score_after,
-                       timeline.union.threshold_after),
-    }
 
 
 class TestEngineStreaming:
@@ -332,13 +285,6 @@ class TestEngineStreaming:
         assert stats["fallbacks"].get("length_mismatch", 0) >= 1
         assert stats["finalized"] == 0
 
-    def test_streaming_off_starts_no_streams(self, env):
-        vfs, monitor, pid = env(streaming_digests=False)
-        _run_encryptor(vfs, monitor, pid)
-        stats = monitor.engine.stream_stats()
-        assert not stats["enabled"]
-        assert stats["started"] == stats["finalized"] == 0
-
     def test_buffered_below_threshold_is_not_a_fallback(self, env):
         vfs, monitor, pid = env(stream_digest_min_bytes=1 << 20)
         _append_file(vfs, pid, DOCUMENTS / "small.txt",
@@ -352,45 +298,27 @@ class TestEngineStreaming:
 
 
 class TestStreamingIdentity:
+    """Streamed runs against the eager reference ("off": it never
+    streams).  Streams never checkpoint, but their lifetime counters do."""
+
     def test_detection_output_identical_streaming_on_off(self, env):
-        outputs = []
-        for streaming in (True, False):
-            vfs, monitor, pid = env(streaming_digests=streaming)
+        vfs, monitor, pid = env()
+        _run_encryptor(vfs, monitor, pid)
+        assert monitor.engine.stream_stats()["finalized"] >= 1
+        streamed = detection_output(monitor, pid)
+        with eager_reference():
+            vfs, monitor, pid = env()
             _run_encryptor(vfs, monitor, pid)
-            outputs.append(_detection_output(monitor, pid))
-            monitor.detach()
-        assert outputs[0] == outputs[1]
+        assert detection_output(monitor, pid) == streamed
 
     def test_checkpoints_identical_streaming_on_off(self, env):
-        states = []
-        for streaming in (True, False):
-            vfs, monitor, pid = env(streaming_digests=streaming)
-            _run_encryptor(vfs, monitor, pid)
-            state = monitor.checkpoint()
-            # the knob changes how digests materialise, never their
-            # value: everything except the bookkeeping counters must be
-            # bit-identical (recorded baselines included)
-            del state["telemetry"]
-            del state["op_wall_us"]
-            del state["streams"]
-            del state["cache"]["digest_cache"]
-            states.append(state)
-        assert states[0] == states[1]
-
-    def test_stream_counters_survive_checkpoint(self, env):
         vfs, monitor, pid = env()
-        _append_file(vfs, pid, DOCUMENTS / "persist.txt",
-                     _chunked(_text(53, 10_000), 1024))
-        before = monitor.engine.stream_stats()
-        assert before["finalized"] >= 1
-        restored = CryptoDropMonitor.from_checkpoint(
-            VirtualFileSystem(), monitor.checkpoint(),
-            config=CryptoDropConfig(telemetry_enabled=True,
-                                    stream_digest_min_bytes=0))
-        after = restored.engine.stream_stats()
-        for key in ("started", "finalized", "bytes_streamed", "fallbacks"):
-            assert after[key] == before[key]
-        assert after["in_flight"] == 0
+        _run_encryptor(vfs, monitor, pid)
+        streamed = verdict_checkpoint(monitor)
+        with eager_reference():
+            vfs, monitor, pid = env()
+            _run_encryptor(vfs, monitor, pid)
+        assert verdict_checkpoint(monitor) == streamed
 
     @pytest.mark.chaos
     def test_chaos_campaign_verdicts_identical_streaming_on_off(
@@ -406,10 +334,9 @@ class TestStreamingIdentity:
         plan = transient_faults(seed=41, deny_rate=0.05,
                                 short_read_rate=0.05,
                                 latency_spike_rate=0.02)
-        sweeps = []
-        for streaming in (True, False):
-            config = CryptoDropConfig(streaming_digests=streaming,
-                                      stream_digest_min_bytes=0)
+        config = CryptoDropConfig(stream_digest_min_bytes=0)
+
+        def sweep():
             injector = FaultInjector(plan)
             machine.vfs.filters.attach(injector)
             try:
@@ -418,8 +345,26 @@ class TestStreamingIdentity:
             finally:
                 machine.vfs.filters.detach(injector)
             assert injector.stats()["ops_seen"] > 0
-            sweeps.append([verdict(r) for r in results])
-        assert sweeps[0] == sweeps[1]
+            return [verdict(r) for r in results]
+
+        streamed = sweep()
+        with eager_reference():
+            assert sweep() == streamed
+
+    def test_stream_counters_survive_checkpoint(self, env):
+        vfs, monitor, pid = env()
+        _append_file(vfs, pid, DOCUMENTS / "persist.txt",
+                     _chunked(_text(53, 10_000), 1024))
+        before = monitor.engine.stream_stats()
+        assert before["finalized"] >= 1
+        restored = CryptoDropMonitor.from_checkpoint(
+            VirtualFileSystem(), monitor.checkpoint(),
+            config=CryptoDropConfig(telemetry_enabled=True,
+                                    stream_digest_min_bytes=0))
+        after = restored.engine.stream_stats()
+        for key in ("started", "finalized", "bytes_streamed", "fallbacks"):
+            assert after[key] == before[key]
+        assert after["in_flight"] == 0
 
 
 class TestSchedulerWatermark:
@@ -452,17 +397,15 @@ class TestSchedulerWatermark:
     def test_discard_releases_pending_bytes(self, env):
         vfs, monitor, pid = env()
         scheduler = monitor.engine.scheduler
-        content = vfs.peek_read(DOCUMENTS / "doc2.txt")
-        node_id = vfs.peek_stat(DOCUMENTS / "doc2.txt").node_id
-        handle = vfs.open(pid, DOCUMENTS / "doc2.txt", "rw")
-        vfs.write(pid, handle, b"y")
-        assert scheduler.pending_bytes == len(content)
-        scheduler.discard(node_id)
-        assert scheduler.pending_bytes == 0
+        dc = monitor.engine.cache.digest_cache
+        # the delete's pre-op capture defers (and enqueues) the baseline;
+        # the node then leaves the cache and its slot is discarded
+        vfs.delete(pid, DOCUMENTS / "doc2.txt")
+        assert dc.deferred == 1
+        assert scheduler.pending_bytes == 0 and len(scheduler) == 0
         gauge = monitor.telemetry_export()["metrics"][
             "cryptodrop_scheduler_pending_bytes"]["state"]
         assert gauge[0][1] == 0.0
-        vfs.close(pid, handle)
 
     def test_zero_cap_never_forces(self, env):
         vfs, monitor, pid = env()  # default test config: cap from config

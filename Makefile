@@ -6,7 +6,7 @@
 PYTEST = PYTHONPATH=src python -m pytest -x -q
 
 .PHONY: verify test unit chaos bench bench-smoke bench-check telemetry-demo \
-	store-demo perfbench-smoke
+	store-demo perfbench-smoke table1-check
 
 PERFBENCH_WORKLOADS = attack_replay benign_desktop bulk_append ingest_chaos
 
@@ -54,6 +54,13 @@ perfbench-smoke:
 			% (sys.argv[1], r["failed"], r["attempted"])); \
 			sys.exit(1 if r["failed"] else 0)' $$w || exit 1; \
 	done
+
+# the EXPERIMENTS.md headline end to end: the full-scale Table I run
+# (492/492 detected, median 10 files lost, range 0-42), minus its timing
+# line, must print tests/data/table1_full.txt exactly
+table1-check:
+	PYTHONPATH=src python -m repro --scale full table1 \
+		| grep -v '^\[table1 completed in ' | diff tests/data/table1_full.txt -
 
 # regression gate: rerun the harness and fail on >25% hot-path slowdown
 # against the newest committed BENCH_<N>.json baseline

@@ -2,17 +2,25 @@
 
 Many ransomware families "implement their own versions of these
 algorithms" (paper §III), which is exactly why CryptoDrop cannot rely on
-hooking crypto libraries.  This is a clean-room, table-driven AES with ECB,
-CBC, and CTR modes.  It is pure Python and therefore slow; family
-simulators use it for key material and small payloads, and the
-NumPy-vectorised stream ciphers for bulk data.
+hooking crypto libraries.  This is a clean-room AES with CBC and CTR
+modes.  One NumPy block kernel per direction runs every round over an
+``(n, 16)`` uint8 state, one row per block in FIPS-197's column-major
+layout: SubBytes is an S-box lookup, ShiftRows a fixed gather, MixColumns
+GF(2^8) multiply tables, AddRoundKey an XOR against the key schedule's
+``(rounds + 1, 16)`` array.  CTR and CBC decryption therefore cost a few
+dozen array operations per round however many blocks they cover; CBC
+encryption chains block to block and runs the kernel one row at a time.
 
-Test vectors from FIPS-197 Appendix C are enforced in the test suite.
+Test vectors from FIPS-197 Appendix C and RFC 3686 are enforced in the
+test suite, and ``tests/reference.py`` keeps a scalar per-byte AES as the
+oracle the kernel is checked against.
 """
 
 from __future__ import annotations
 
 from typing import List
+
+import numpy as np
 
 from .padding import pad, unpad
 
@@ -61,6 +69,63 @@ def _gmul(a: int, b: int) -> int:
     return _EXP[(_LOG[a] + _LOG[b]) % 255]
 
 
+_SUB = np.array(_SBOX, dtype=np.uint8)
+_INV_SUB = np.array(_INV_SBOX, dtype=np.uint8)
+#: ``_MUL[m][a]`` is the GF(2^8) product ``a · m``
+_MUL = {m: np.array([_gmul(a, m) for a in range(256)], dtype=np.uint8)
+        for m in (2, 3, 9, 11, 13, 14)}
+# state byte 4c + r is row r of column c
+_SHIFT_ROWS = np.array([0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11])
+_INV_SHIFT_ROWS = np.array([0, 13, 10, 7, 4, 1, 14, 11, 8, 5, 2, 15, 12, 9,
+                            6, 3])
+#: ``state[:, _ROW_PLUS[k - 1]]`` puts row r + k of each column at row r
+_ROW_PLUS = [np.array([4 * c + (r + k) % 4 for c in range(4)
+                       for r in range(4)]) for k in (1, 2, 3)]
+
+#: blocks per CTR pass (64 KiB of keystream), which bounds the kernel's
+#: temporaries however long the input
+_PASS_BLOCKS = 4096
+
+
+def _encrypt(state: np.ndarray, round_keys: np.ndarray) -> np.ndarray:
+    """The cipher (FIPS-197 §5.1) over every row of an ``(n, 16)`` state."""
+    rounds = len(round_keys) - 1
+    state = state ^ round_keys[0]
+    for rnd in range(1, rounds):
+        # ShiftRows then SubBytes: a bytewise S-box commutes with a gather
+        state = _SUB[state[:, _SHIFT_ROWS]]
+        # MixColumns: row r becomes 2·a[r] ^ 3·a[r+1] ^ a[r+2] ^ a[r+3]
+        plus1, plus2, plus3 = (state[:, rows] for rows in _ROW_PLUS)
+        mixed = _MUL[2][state]
+        mixed ^= _MUL[3][plus1]
+        mixed ^= plus2
+        mixed ^= plus3
+        mixed ^= round_keys[rnd]
+        state = mixed
+    state = _SUB[state[:, _SHIFT_ROWS]]
+    state ^= round_keys[rounds]
+    return state
+
+
+def _decrypt(state: np.ndarray, round_keys: np.ndarray) -> np.ndarray:
+    """The inverse cipher (FIPS-197 §5.3) over an ``(n, 16)`` state."""
+    rounds = len(round_keys) - 1
+    state = state ^ round_keys[rounds]
+    for rnd in range(rounds - 1, 0, -1):
+        state = _INV_SUB[state[:, _INV_SHIFT_ROWS]]
+        state ^= round_keys[rnd]
+        # row r becomes 14·a[r] ^ 11·a[r+1] ^ 13·a[r+2] ^ 9·a[r+3]
+        plus1, plus2, plus3 = (state[:, rows] for rows in _ROW_PLUS)
+        mixed = _MUL[14][state]
+        mixed ^= _MUL[11][plus1]
+        mixed ^= _MUL[13][plus2]
+        mixed ^= _MUL[9][plus3]
+        state = mixed
+    state = _INV_SUB[state[:, _INV_SHIFT_ROWS]]
+    state ^= round_keys[0]
+    return state
+
+
 class AES:
     """One AES key schedule; encrypt/decrypt single 16-byte blocks."""
 
@@ -68,7 +133,7 @@ class AES:
         if len(key) not in (16, 24, 32):
             raise ValueError("AES key must be 16, 24, or 32 bytes")
         self.key = bytes(key)
-        self._round_keys = self._expand(self.key)
+        self._round_keys = np.array(self._expand(self.key), dtype=np.uint8)
         self.rounds = len(self._round_keys) - 1
 
     @staticmethod
@@ -93,70 +158,17 @@ class AES:
             round_keys.append(rk)
         return round_keys
 
-    # state is a 16-int list in column-major order (as FIPS-197 lays it out)
-
-    @staticmethod
-    def _shift_rows(s: List[int]) -> List[int]:
-        return [s[0], s[5], s[10], s[15],
-                s[4], s[9], s[14], s[3],
-                s[8], s[13], s[2], s[7],
-                s[12], s[1], s[6], s[11]]
-
-    @staticmethod
-    def _inv_shift_rows(s: List[int]) -> List[int]:
-        return [s[0], s[13], s[10], s[7],
-                s[4], s[1], s[14], s[11],
-                s[8], s[5], s[2], s[15],
-                s[12], s[9], s[6], s[3]]
-
-    @staticmethod
-    def _mix_columns(s: List[int]) -> List[int]:
-        out = [0] * 16
-        for c in range(4):
-            a = s[4 * c:4 * c + 4]
-            out[4 * c + 0] = _gmul(a[0], 2) ^ _gmul(a[1], 3) ^ a[2] ^ a[3]
-            out[4 * c + 1] = a[0] ^ _gmul(a[1], 2) ^ _gmul(a[2], 3) ^ a[3]
-            out[4 * c + 2] = a[0] ^ a[1] ^ _gmul(a[2], 2) ^ _gmul(a[3], 3)
-            out[4 * c + 3] = _gmul(a[0], 3) ^ a[1] ^ a[2] ^ _gmul(a[3], 2)
-        return out
-
-    @staticmethod
-    def _inv_mix_columns(s: List[int]) -> List[int]:
-        out = [0] * 16
-        for c in range(4):
-            a = s[4 * c:4 * c + 4]
-            out[4 * c + 0] = _gmul(a[0], 14) ^ _gmul(a[1], 11) ^ _gmul(a[2], 13) ^ _gmul(a[3], 9)
-            out[4 * c + 1] = _gmul(a[0], 9) ^ _gmul(a[1], 14) ^ _gmul(a[2], 11) ^ _gmul(a[3], 13)
-            out[4 * c + 2] = _gmul(a[0], 13) ^ _gmul(a[1], 9) ^ _gmul(a[2], 14) ^ _gmul(a[3], 11)
-            out[4 * c + 3] = _gmul(a[0], 11) ^ _gmul(a[1], 13) ^ _gmul(a[2], 9) ^ _gmul(a[3], 14)
-        return out
-
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
             raise ValueError("block must be 16 bytes")
-        state = [b ^ k for b, k in zip(block, self._round_keys[0])]
-        for rnd in range(1, self.rounds):
-            state = [_SBOX[b] for b in state]
-            state = self._shift_rows(state)
-            state = self._mix_columns(state)
-            state = [b ^ k for b, k in zip(state, self._round_keys[rnd])]
-        state = [_SBOX[b] for b in state]
-        state = self._shift_rows(state)
-        state = [b ^ k for b, k in zip(state, self._round_keys[self.rounds])]
-        return bytes(state)
+        state = np.frombuffer(block, dtype=np.uint8).reshape(1, 16)
+        return _encrypt(state, self._round_keys).tobytes()
 
     def decrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
             raise ValueError("block must be 16 bytes")
-        state = [b ^ k for b, k in zip(block, self._round_keys[self.rounds])]
-        state = self._inv_shift_rows(state)
-        state = [_INV_SBOX[b] for b in state]
-        for rnd in range(self.rounds - 1, 0, -1):
-            state = [b ^ k for b, k in zip(state, self._round_keys[rnd])]
-            state = self._inv_mix_columns(state)
-            state = self._inv_shift_rows(state)
-            state = [_INV_SBOX[b] for b in state]
-        return bytes(b ^ k for b, k in zip(state, self._round_keys[0]))
+        state = np.frombuffer(block, dtype=np.uint8).reshape(1, 16)
+        return _decrypt(state, self._round_keys).tobytes()
 
 
 def aes_cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
@@ -164,13 +176,14 @@ def aes_cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
     if len(iv) != 16:
         raise ValueError("IV must be 16 bytes")
     cipher = AES(key)
-    previous = iv
-    out = []
-    for start in range(0, len(padded := pad(plaintext)), 16):
-        block = bytes(a ^ b for a, b in zip(padded[start:start + 16], previous))
-        previous = cipher.encrypt_block(block)
-        out.append(previous)
-    return b"".join(out)
+    blocks = np.frombuffer(pad(plaintext), dtype=np.uint8).reshape(-1, 16)
+    out = np.empty_like(blocks)
+    previous = np.frombuffer(iv, dtype=np.uint8)
+    for i, block in enumerate(blocks):
+        # each block chains on the one before, so one row at a time
+        previous = _encrypt((block ^ previous)[None], cipher._round_keys)[0]
+        out[i] = previous
+    return out.tobytes()
 
 
 def aes_cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
@@ -180,26 +193,36 @@ def aes_cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
     if len(ciphertext) % 16:
         raise ValueError("ciphertext is not block aligned")
     cipher = AES(key)
-    previous = iv
-    out = []
-    for start in range(0, len(ciphertext), 16):
-        block = ciphertext[start:start + 16]
-        plain = cipher.decrypt_block(block)
-        out.append(bytes(a ^ b for a, b in zip(plain, previous)))
-        previous = block
-    return unpad(b"".join(out))
+    blocks = np.frombuffer(ciphertext, dtype=np.uint8).reshape(-1, 16)
+    chained = np.concatenate(
+        (np.frombuffer(iv, dtype=np.uint8)[None], blocks))[:-1]
+    plain = _decrypt(blocks, cipher._round_keys)
+    plain ^= chained
+    return unpad(plain.tobytes())
 
 
 def aes_ctr_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
-    """CTR keystream XOR (encrypt == decrypt). ``nonce`` is 12 bytes."""
+    """CTR keystream XOR (encrypt == decrypt). ``nonce`` is 12 bytes.
+
+    Counter block ``i`` is ``nonce ‖ be32(i)``, ``i`` from 0; the
+    keystream is built and applied :data:`_PASS_BLOCKS` blocks at a time.
+    """
     if len(nonce) != 12:
         raise ValueError("nonce must be 12 bytes")
     cipher = AES(key)
-    out = bytearray()
-    counter = 0
-    for start in range(0, len(data), 16):
-        block = cipher.encrypt_block(nonce + counter.to_bytes(4, "big"))
-        chunk = data[start:start + 16]
-        out.extend(a ^ b for a, b in zip(chunk, block))
-        counter += 1
-    return bytes(out)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    out = np.empty_like(buf)
+    nonce_row = np.frombuffer(nonce, dtype=np.uint8)
+    step = 16 * _PASS_BLOCKS
+    for start in range(0, len(buf), step):
+        chunk = buf[start:start + step]
+        first = start // 16
+        n_blocks = -(-len(chunk) // 16)
+        counters = np.empty((n_blocks, 16), dtype=np.uint8)
+        counters[:, :12] = nonce_row
+        index = np.arange(first, first + n_blocks, dtype=">u4")
+        counters[:, 12:] = index.view(np.uint8).reshape(n_blocks, 4)
+        keystream = _encrypt(counters, cipher._round_keys).reshape(-1)
+        np.bitwise_xor(chunk, keystream[:len(chunk)],
+                       out=out[start:start + len(chunk)])
+    return out.tobytes()

@@ -4,13 +4,15 @@ Each sample owns a :class:`CipherEngine` with deterministic key material
 derived from its seed.  Engines map family lore onto the from-scratch
 primitives in :mod:`repro.crypto`:
 
-* ``aes`` — AES-CTR.  Exact for small payloads; beyond a size cutoff the
-  keystream is produced by ChaCha20 instead (pure-Python AES would
-  dominate campaign runtime).  Both produce uniformly distributed
+* ``aes`` — AES-CTR up to a 16 KiB cutoff; beyond it the keystream is
+  produced by ChaCha20 instead.  Both produce uniformly distributed
   ciphertext, which is all the indicators ever see; DESIGN.md records the
-  substitution.
+  substitution.  The cutoff saves no AES time (the block kernel runs any
+  size); it stays only so that every file's ciphertext, and the
+  calibrated outcomes pinned on it, are unchanged.
 * ``chacha`` — ChaCha20 (NumPy-fast, default bulk engine).
-* ``rc4`` — RC4, capped likewise.
+* ``rc4`` — RC4 (a sequential per-byte loop), with the same cutoff and
+  substitution.
 * ``tea`` — TEA in ECB over 8-byte blocks (Xorist's cipher): repeated
   plaintext blocks repeat in ciphertext, so text encrypts to visibly
   lower entropy than a real stream cipher.
@@ -35,7 +37,9 @@ __all__ = ["CipherEngine", "ATTACKER_RSA"]
 #: family's hardcoded key block)
 ATTACKER_RSA = generate_keypair(bits=512, seed=0xBADC0DE)
 
-#: above this, "aes"/"rc4" engines switch to the vectorised keystream
+#: above this, "aes"/"rc4" engines switch to the ChaCha20 keystream; for
+#: "aes" it only keeps campaign ciphertext, and the outcomes pinned on it,
+#: unchanged
 _PURE_PYTHON_CUTOFF = 16 * 1024
 
 

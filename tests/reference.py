@@ -21,6 +21,10 @@ The benchmark harness uses :func:`eager_reference` for the same swap.
 and the reference must agree on; bookkeeping counters (digest cache,
 streams, wall times, telemetry metrics) describe the path, not the
 verdict, and are left out.
+
+:class:`ScalarAES` and the ``scalar_aes_*`` modes are the per-byte,
+list-based AES that :mod:`repro.crypto.aes` replaced with its NumPy block
+kernel; ``tests/test_crypto.py`` requires byte-identical output from both.
 """
 
 from __future__ import annotations
@@ -30,10 +34,14 @@ import dataclasses
 
 import repro.core.engine as engine_mod
 from repro.core.filestate import DigestCache, InspectionResult, TrackedFile
+from repro.crypto.aes import _INV_SBOX, _SBOX, AES, _gmul
+from repro.crypto.padding import pad, unpad
 from repro.magic import identify
 from repro.simhash import ctph, sdhash
 
-__all__ = ["EagerFileStateCache", "detection_output", "eager_reference",
+__all__ = ["EagerFileStateCache", "ScalarAES", "detection_output",
+           "eager_reference", "scalar_aes_cbc_decrypt",
+           "scalar_aes_cbc_encrypt", "scalar_aes_ctr_xor",
            "verdict_checkpoint"]
 
 
@@ -224,3 +232,128 @@ def detection_output(monitor, pid) -> dict:
                        timeline.union.score_after,
                        timeline.union.threshold_after),
     }
+
+
+class ScalarAES:
+    """FIPS-197 rounds one byte at a time over a 16-int list, on the
+    production key schedule (which the FIPS-197 vectors pin)."""
+
+    def __init__(self, key: bytes) -> None:
+        self._round_keys = AES(key)._round_keys.tolist()
+        self.rounds = len(self._round_keys) - 1
+
+    # state is a 16-int list in column-major order (as FIPS-197 lays it out)
+
+    @staticmethod
+    def _shift_rows(s):
+        return [s[0], s[5], s[10], s[15],
+                s[4], s[9], s[14], s[3],
+                s[8], s[13], s[2], s[7],
+                s[12], s[1], s[6], s[11]]
+
+    @staticmethod
+    def _inv_shift_rows(s):
+        return [s[0], s[13], s[10], s[7],
+                s[4], s[1], s[14], s[11],
+                s[8], s[5], s[2], s[15],
+                s[12], s[9], s[6], s[3]]
+
+    @staticmethod
+    def _mix_columns(s):
+        out = [0] * 16
+        for c in range(4):
+            a = s[4 * c:4 * c + 4]
+            out[4 * c + 0] = _gmul(a[0], 2) ^ _gmul(a[1], 3) ^ a[2] ^ a[3]
+            out[4 * c + 1] = a[0] ^ _gmul(a[1], 2) ^ _gmul(a[2], 3) ^ a[3]
+            out[4 * c + 2] = a[0] ^ a[1] ^ _gmul(a[2], 2) ^ _gmul(a[3], 3)
+            out[4 * c + 3] = _gmul(a[0], 3) ^ a[1] ^ a[2] ^ _gmul(a[3], 2)
+        return out
+
+    @staticmethod
+    def _inv_mix_columns(s):
+        out = [0] * 16
+        for c in range(4):
+            a = s[4 * c:4 * c + 4]
+            out[4 * c + 0] = (_gmul(a[0], 14) ^ _gmul(a[1], 11)
+                              ^ _gmul(a[2], 13) ^ _gmul(a[3], 9))
+            out[4 * c + 1] = (_gmul(a[0], 9) ^ _gmul(a[1], 14)
+                              ^ _gmul(a[2], 11) ^ _gmul(a[3], 13))
+            out[4 * c + 2] = (_gmul(a[0], 13) ^ _gmul(a[1], 9)
+                              ^ _gmul(a[2], 14) ^ _gmul(a[3], 11))
+            out[4 * c + 3] = (_gmul(a[0], 11) ^ _gmul(a[1], 13)
+                              ^ _gmul(a[2], 9) ^ _gmul(a[3], 14))
+        return out
+
+    def encrypt_block(self, block: bytes) -> bytes:
+        if len(block) != 16:
+            raise ValueError("block must be 16 bytes")
+        state = [b ^ k for b, k in zip(block, self._round_keys[0])]
+        for rnd in range(1, self.rounds):
+            state = [_SBOX[b] for b in state]
+            state = self._shift_rows(state)
+            state = self._mix_columns(state)
+            state = [b ^ k for b, k in zip(state, self._round_keys[rnd])]
+        state = [_SBOX[b] for b in state]
+        state = self._shift_rows(state)
+        state = [b ^ k for b, k in zip(state, self._round_keys[self.rounds])]
+        return bytes(state)
+
+    def decrypt_block(self, block: bytes) -> bytes:
+        if len(block) != 16:
+            raise ValueError("block must be 16 bytes")
+        state = [b ^ k for b, k in zip(block, self._round_keys[self.rounds])]
+        state = self._inv_shift_rows(state)
+        state = [_INV_SBOX[b] for b in state]
+        for rnd in range(self.rounds - 1, 0, -1):
+            state = [b ^ k for b, k in zip(state, self._round_keys[rnd])]
+            state = self._inv_mix_columns(state)
+            state = self._inv_shift_rows(state)
+            state = [_INV_SBOX[b] for b in state]
+        return bytes(b ^ k for b, k in zip(state, self._round_keys[0]))
+
+
+def scalar_aes_cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
+    """CBC with PKCS#7 padding, one :class:`ScalarAES` block at a time."""
+    if len(iv) != 16:
+        raise ValueError("IV must be 16 bytes")
+    cipher = ScalarAES(key)
+    previous = iv
+    out = []
+    for start in range(0, len(padded := pad(plaintext)), 16):
+        block = bytes(a ^ b for a, b in zip(padded[start:start + 16],
+                                            previous))
+        previous = cipher.encrypt_block(block)
+        out.append(previous)
+    return b"".join(out)
+
+
+def scalar_aes_cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
+    """Inverse of :func:`scalar_aes_cbc_encrypt`."""
+    if len(iv) != 16:
+        raise ValueError("IV must be 16 bytes")
+    if len(ciphertext) % 16:
+        raise ValueError("ciphertext is not block aligned")
+    cipher = ScalarAES(key)
+    previous = iv
+    out = []
+    for start in range(0, len(ciphertext), 16):
+        block = ciphertext[start:start + 16]
+        plain = cipher.decrypt_block(block)
+        out.append(bytes(a ^ b for a, b in zip(plain, previous)))
+        previous = block
+    return unpad(b"".join(out))
+
+
+def scalar_aes_ctr_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
+    """CTR keystream XOR over counter blocks ``nonce ‖ be32(i)``, i from 0."""
+    if len(nonce) != 12:
+        raise ValueError("nonce must be 12 bytes")
+    cipher = ScalarAES(key)
+    out = bytearray()
+    counter = 0
+    for start in range(0, len(data), 16):
+        block = cipher.encrypt_block(nonce + counter.to_bytes(4, "big"))
+        chunk = data[start:start + 16]
+        out.extend(a ^ b for a, b in zip(chunk, block))
+        counter += 1
+    return bytes(out)

@@ -1,5 +1,6 @@
 """From-scratch cryptography: standard vectors + properties."""
 
+import hashlib
 import random
 
 import pytest
@@ -11,6 +12,9 @@ from repro.crypto import (AES, PaddingError, aes_cbc_decrypt,
                           is_probable_prime, pad, rc4_crypt,
                           tea_decrypt_blocks, tea_encrypt_blocks, unpad,
                           unwrap_key, wrap_key, xor_crypt)
+from repro.crypto.aes import _PASS_BLOCKS
+from tests.reference import (ScalarAES, scalar_aes_cbc_decrypt,
+                             scalar_aes_cbc_encrypt, scalar_aes_ctr_xor)
 
 
 class TestAesVectors:
@@ -73,6 +77,128 @@ class TestAesModes:
     def test_ctr_handles_partial_block(self):
         msg = b"seventeen bytes!!"
         assert len(aes_ctr_xor(b"k" * 16, b"n" * 12, msg)) == len(msg)
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_buffer_inputs_give_bytes(self, kind):
+        key, nonce, iv = b"k" * 16, b"n" * 12, b"i" * 16
+        msg = b"any buffer will do" * 3
+        ctr = aes_ctr_xor(key, nonce, kind(msg))
+        cbc = aes_cbc_encrypt(key, iv, kind(msg))
+        block = AES(key).encrypt_block(kind(msg[:16]))
+        for out in (ctr, cbc, block, AES(key).decrypt_block(kind(block)),
+                    aes_cbc_decrypt(key, iv, kind(cbc))):
+            assert type(out) is bytes
+        assert ctr == aes_ctr_xor(key, nonce, msg)
+        assert aes_cbc_decrypt(key, iv, cbc) == msg
+
+    def test_bad_lengths_rejected(self):
+        key, nonce, iv = b"k" * 16, b"n" * 12, b"i" * 16
+        cases = [
+            lambda: aes_ctr_xor(b"k" * 15, nonce, b"x"),
+            lambda: aes_ctr_xor(key, b"n" * 16, b"x"),
+            lambda: aes_cbc_encrypt(b"k" * 33, iv, b"x"),
+            lambda: aes_cbc_encrypt(key, b"i" * 12, b"x"),
+            lambda: aes_cbc_decrypt(key, b"i" * 8, bytes(16)),
+            lambda: aes_cbc_decrypt(key, iv, bytes(17)),
+            lambda: AES(key).decrypt_block(bytes(15)),
+        ]
+        for call in cases:
+            with pytest.raises(ValueError):
+                call()
+
+    def test_cbc_bad_or_empty_padding(self):
+        key, iv = b"k" * 16, b"i" * 16
+        with pytest.raises(PaddingError):
+            aes_cbc_decrypt(key, iv, b"")
+        forged = aes_cbc_encrypt(key, iv, b"x" * 16)[:16]  # no pad block
+        with pytest.raises(PaddingError):
+            aes_cbc_decrypt(key, iv, forged)
+
+
+class TestAesCtrVectors:
+    """RFC 3686 §6 known-answer tests: #1-#3 (AES-128, #3 ending in a
+    partial block), #4 (AES-192) and #8 (AES-256).
+
+    RFC 3686 counts blocks from 1 and :func:`aes_ctr_xor` from 0, so each
+    vector is run with one zero block in front and the first 16 output
+    bytes dropped.
+    """
+
+    VECTORS = [
+        # (key, nonce ‖ IV, plaintext, ciphertext)
+        ("ae6852f8121067cc4bf7a5765577f39e",
+         "00000030" "0000000000000000",
+         "53696e676c6520626c6f636b206d7367",
+         "e4095d4fb7a7b3792d6175a3261311b8"),
+        ("7e24067817fae0d743d6ce1f32539163",
+         "006cb6db" "c0543b59da48d90b",
+         "000102030405060708090a0b0c0d0e0f"
+         "101112131415161718191a1b1c1d1e1f",
+         "5104a106168a72d9790d41ee8edad388"
+         "eb2e1efc46da57c8fce630df9141be28"),
+        ("7691be035e5020a8ac6e618529f9a0dc",
+         "00e0017b" "27777f3f4a1786f0",
+         "000102030405060708090a0b0c0d0e0f"
+         "101112131415161718191a1b1c1d1e1f20212223",
+         "c1cf48a89f2ffdd9cf4652e9efdb72d7"
+         "4540a42bde6d7836d59a5ceaaef3105325b2072f"),
+        ("16af5b145fc9f579c175f93e3bfb0eed863d06ccfdb78515",
+         "00000048" "36733c147d6d93cb",
+         "53696e676c6520626c6f636b206d7367",
+         "4b55384fe259c9c84e7935a003cbe928"),
+        ("f6d66d6bd52d59bb0796365879eff886"
+         "c66dd51a5b6a99744b50590c87a23884",
+         "00faac24" "c1585ef15a43d875",
+         "000102030405060708090a0b0c0d0e0f"
+         "101112131415161718191a1b1c1d1e1f",
+         "f05e231b3894612c49ee000b804eb2a9"
+         "b8306b508f839d6a5530831d9344af1c"),
+    ]
+
+    @pytest.mark.parametrize("key,nonce,plain,cipher", VECTORS,
+                             ids=["#1", "#2", "#3", "#4", "#8"])
+    def test_rfc3686(self, key, nonce, plain, cipher):
+        key, nonce = bytes.fromhex(key), bytes.fromhex(nonce)
+        out = aes_ctr_xor(key, nonce, bytes(16) + bytes.fromhex(plain))
+        assert out[16:].hex() == cipher
+
+
+class TestAesAgainstScalarReference:
+    """The block kernel is byte-identical to the per-byte scalar AES in
+    ``tests/reference.py``, for every key size."""
+
+    CTR_LENGTHS = [0, 1, 15, 16, 17, 4095, 4096, 4097,
+                   16 * _PASS_BLOCKS + 17]  # the last crosses a CTR pass
+
+    @pytest.fixture(params=[16, 24, 32], ids=["aes128", "aes192", "aes256"])
+    def material(self, request):
+        rng = random.Random(request.param)
+        return (rng.randbytes(request.param), rng.randbytes(12),
+                rng.randbytes(16), rng)
+
+    def test_blocks(self, material):
+        key, _, _, rng = material
+        fast, scalar = AES(key), ScalarAES(key)
+        for _ in range(16):
+            block = rng.randbytes(16)
+            assert fast.encrypt_block(block) == scalar.encrypt_block(block)
+            assert fast.decrypt_block(block) == scalar.decrypt_block(block)
+
+    def test_ctr(self, material):
+        key, nonce, _, rng = material
+        for length in self.CTR_LENGTHS:
+            data = rng.randbytes(length)
+            assert aes_ctr_xor(key, nonce, data) == \
+                scalar_aes_ctr_xor(key, nonce, data), length
+
+    def test_cbc(self, material):
+        key, _, iv, rng = material
+        for length in (0, 1, 15, 16, 17, 100, 1000):
+            data = rng.randbytes(length)
+            ct = aes_cbc_encrypt(key, iv, data)
+            assert ct == scalar_aes_cbc_encrypt(key, iv, data), length
+            assert aes_cbc_decrypt(key, iv, ct) == \
+                scalar_aes_cbc_decrypt(key, iv, ct) == data
 
 
 class TestPadding:
@@ -222,3 +348,37 @@ class TestCipherEngine:
         from repro.ransomware import CipherEngine
         with pytest.raises(ValueError):
             CipherEngine("rot13", seed=1)
+
+    #: sha256 of the first file a fresh ``CipherEngine(kind, seed=1337)``
+    #: encrypts, one payload each side of the 16 KiB cutoff above which
+    #: ``aes`` and ``rc4`` switch to ChaCha20 (so the two agree at 16385 B)
+    CIPHERTEXT = [
+        ("aes", 16383,
+         "7d1e7865dc485ce78138365d821bd0bc66f0083e6174cc542f99e7fc0313780e"),
+        ("aes", 16384,
+         "bd28725f87fad2fef42f33f7fed4ad73fcdd8c26cdd8b20609a03818707f7512"),
+        ("aes", 16385,
+         "93b0b0f9f4db473d1947053d3e61eb5e6d22dea976a57e9d74cb0b4615029406"),
+        ("rc4", 16384,
+         "1905e8cfa80d75278fc090630924a797ae1ec40031cee6452b7bd16a445f144d"),
+        ("rc4", 16385,
+         "93b0b0f9f4db473d1947053d3e61eb5e6d22dea976a57e9d74cb0b4615029406"),
+        ("chacha", 16384,
+         "591ff038b43cf18e77d526dd7ad7bf1fed7092dae84966b512b03c4168827a96"),
+        ("tea", 16384,
+         "d363aeed3af355040c040897bd7f57f95fd8d7e8d39daead6fd5b81b66f32202"),
+        ("xor", 16384,
+         "614cacea2bf55c686eceeb9ec3180185f410b71e139fd3c3ac1ab993b57f24c6"),
+    ]
+
+    @pytest.mark.parametrize("kind,size,sha256", CIPHERTEXT,
+                             ids=[f"{k}-{n}" for k, n, _ in CIPHERTEXT])
+    def test_ciphertext_pinned(self, kind, size, sha256):
+        """The bytes the family simulators write are fixed: the calibrated
+        golden outcomes rest on them."""
+        from repro.ransomware import CipherEngine
+        text = b"".join(b"line %05d of the quarterly report, figures "
+                        b"attached\n" % i for i in range(size // 40 + 1))
+        out = CipherEngine(kind, seed=1337).encrypt(text[:size])
+        assert hashlib.sha256(out).hexdigest() == sha256
+

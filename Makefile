@@ -5,8 +5,8 @@
 
 PYTEST = PYTHONPATH=src python -m pytest -x -q
 
-.PHONY: verify test unit chaos bench bench-smoke bench-check telemetry-demo \
-	store-demo perfbench-smoke table1-check
+.PHONY: verify test unit chaos bench bench-smoke bench-counters bench-check \
+	telemetry-demo store-demo perfbench-smoke table1-check
 
 PERFBENCH_WORKLOADS = attack_replay benign_desktop bulk_append ingest_chaos
 
@@ -38,6 +38,12 @@ bench:
 bench-smoke:
 	PYTHONPATH=src python benchmarks/run_bench.py --smoke \
 		--output /tmp/BENCH.smoke.json
+
+# the close-path counter checks of benchmarks/bench_close_path.py without
+# the pytest-benchmark timing rounds (seconds; CI runs this on every push)
+bench-counters:
+	PYTHONPATH=src:benchmarks python -m pytest -q \
+		benchmarks/bench_close_path.py --benchmark-disable
 
 # two-second traced pass over every perfbench workload (~2 min on 2 CPUs):
 # fails on a non-zero exit or on any failed operation in the run's last

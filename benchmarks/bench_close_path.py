@@ -16,17 +16,17 @@ _CAMPAIGN = dict(n_files=24, rewrites=6, payload=48 * 1024)
 
 
 def test_bench_close_heavy_cached(benchmark):
-    _, stats = benchmark.pedantic(
+    _, stats, _ = benchmark.pedantic(
         lambda: close_heavy_campaign(**_CAMPAIGN), rounds=3, iterations=1)
-    assert stats.single_digest_holds
+    assert stats["digest_cache"]["bytes_digested"] <= stats["bytes_closed"]
 
 
 def test_bench_close_heavy_uncached(benchmark):
-    _, stats = benchmark.pedantic(
+    _, stats, _ = benchmark.pedantic(
         lambda: close_heavy_campaign(**_CAMPAIGN, digest_cache_entries=0),
         rounds=3, iterations=1)
     # no cache → every close digests, but still exactly once per close
-    assert stats.digest_cache_hits == 0
+    assert stats["digest_cache"]["hits"] == 0
 
 
 class TestSingleDigestCounters:
@@ -35,24 +35,25 @@ class TestSingleDigestCounters:
         return close_heavy_campaign(**_CAMPAIGN)
 
     def test_bytes_digested_le_bytes_closed(self, campaign):
-        _, stats = campaign
-        assert stats.bytes_digested <= stats.bytes_closed
+        _, stats, _ = campaign
+        assert stats["digest_cache"]["bytes_digested"] <= \
+            stats["bytes_closed"]
 
     def test_only_baselines_were_digested(self, campaign):
         # the rewrites reuse content: only the initial per-file baseline
         # capture should ever have digested anything
-        _, stats = campaign
-        assert stats.bytes_digested == (_CAMPAIGN["n_files"]
-                                        * _CAMPAIGN["payload"])
+        _, stats, _ = campaign
+        assert stats["digest_cache"]["bytes_digested"] == \
+            _CAMPAIGN["n_files"] * _CAMPAIGN["payload"]
 
     def test_steady_state_closes_all_hit(self, campaign):
-        _, stats = campaign
+        _, stats, _ = campaign
         n_closes = _CAMPAIGN["n_files"] * _CAMPAIGN["rewrites"]
-        assert stats.op_counts["close"] == n_closes
-        assert stats.digest_cache_hits == n_closes
+        assert stats["ops_seen"]["close"] == n_closes
+        assert stats["digest_cache"]["hits"] == n_closes
 
     def test_cache_beats_no_cache(self, campaign):
-        cached_s, _ = campaign
-        uncached_s, _ = close_heavy_campaign(**_CAMPAIGN,
-                                             digest_cache_entries=0)
+        cached_s, _, _ = campaign
+        uncached_s, _, _ = close_heavy_campaign(**_CAMPAIGN,
+                                                digest_cache_entries=0)
         assert uncached_s / cached_s >= 2.0

@@ -17,8 +17,9 @@ overhead) and writes a machine-comparable JSON report:
   batch-kernel ratios: ``digest_many`` versus a per-file digest loop on
   a small-document batch, and the batched store build versus the serial
   reference loop.
-* ``counters`` — the perfstats snapshot of the close-heavy campaign,
-  including the single-digest invariant (bytes digested ≤ bytes closed).
+* ``counters`` — the monitor's ``stats()`` snapshot of the close-heavy
+  campaign; the single-digest invariant (bytes digested ≤ bytes closed)
+  is checked against it.
 * ``campaign`` — throughput and merged engine counters for the
   store-backed campaign sweep, plus the one-time store build cost.
 * ``telemetry_overhead`` — the ISSUE-4 guardrail: the close-heavy
@@ -91,7 +92,6 @@ from repro.faults import ingest_chaos, transient_faults
 from repro.fs import DOCUMENTS, VirtualFileSystem
 from repro.ingest import (EndpointSessionManager, ShedPolicy,
                           record_endpoint_stream)
-from repro.perfstats import collect
 from repro.ransomware import instantiate
 from repro.ransomware.factory import working_cohort
 from repro.sandbox import (VirtualMachine, run_campaign,
@@ -190,7 +190,7 @@ def close_heavy_campaign(n_files: int, rewrites: int, payload: int,
 
     Steady state is exactly the workload the digest cache exists for:
     every close re-inspects content the engine has digested before.
-    Returns ``(elapsed_seconds, PerfStats, telemetry_export_or_None)``.
+    Returns ``(elapsed_seconds, monitor.stats(), telemetry_export_or_None)``.
     """
     vfs = VirtualFileSystem()
     vfs._ensure_dirs(DOCUMENTS)
@@ -212,7 +212,7 @@ def close_heavy_campaign(n_files: int, rewrites: int, payload: int,
             vfs.write(pid, handle, data)
             vfs.close(pid, handle)
     elapsed = time.perf_counter() - started
-    stats = collect(monitor)
+    stats = monitor.stats()
     export = monitor.telemetry_export()
     monitor.detach()
     return elapsed, stats, export
@@ -320,8 +320,8 @@ def campaign_throughput(n_files: int, n_dirs: int, cohort: int,
         "samples_per_second": round(cohort / store_s, 3),
         "store_hits": perf["digest_cache"]["store_hits"],
         "store_misses": perf["digest_cache"]["store_misses"],
-        "deferred_digests": perf["deferred_digests"],
-        "bytes_digested": perf["bytes_digested"],
+        "deferred_digests": perf["digest_cache"]["deferred"],
+        "bytes_digested": perf["digest_cache"]["bytes_digested"],
         "workers_parallel_leg": legs["parallel"].perf["workers"],
     }
 
@@ -372,7 +372,7 @@ def telemetry_overhead(campaign: dict, rounds: int,
     seconds_enabled = min(on_times)
 
     def counter_view(stats) -> dict:
-        view = stats.as_dict()
+        view = dict(stats)
         view.pop("op_wall_us")   # measured time, not a counter
         return view
 
@@ -424,9 +424,9 @@ def untouched_corpus_digest_bytes(n_files: int, n_dirs: int,
             machine.vfs.seek(pid, handle, 0)
             machine.vfs.write(pid, handle, data)
             machine.vfs.close(pid, handle)
-    stats = collect(monitor)
+    stats = monitor.stats()
     monitor.detach()
-    return stats.bytes_digested
+    return stats["digest_cache"]["bytes_digested"]
 
 
 # -- batched digest kernel + scheduler (ISSUE 5) ---------------------------
@@ -960,7 +960,7 @@ def run(smoke: bool = False, big: bool = False) -> dict:
         uncached_times.append(
             close_heavy_campaign(**campaign, digest_cache_entries=0)[0])
         cache_ratios.append(uncached_times[-1] / cached_runs[-1][0])
-    stats = cached_runs[0][1]
+    counters = cached_runs[0][1]
     cached_s = min(r[0] for r in cached_runs)
     uncached_s = min(uncached_times)
     hot_paths["close_heavy_campaign"] = cached_s
@@ -1003,11 +1003,12 @@ def run(smoke: bool = False, big: bool = False) -> dict:
     speedups["ingest_faulted_vs_fault_free"] = \
         resilience["throughput_ratio"]
 
-    counters = stats.as_dict()
     invariants = {
         # single-digest close path: steady-state closes never digest
         # more than they close
-        "bytes_digested_le_bytes_closed": counters["single_digest_holds"],
+        "bytes_digested_le_bytes_closed":
+            counters["digest_cache"]["bytes_digested"]
+            <= counters["bytes_closed"],
         "digest_cache_hits_positive": counters["digest_cache"]["hits"] > 0,
         # ISSUE 3: detection outcomes are independent of store/deferral/
         # parallelism, and a store-backed monitor digests nothing for

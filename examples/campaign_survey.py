@@ -39,13 +39,14 @@ def print_perf(campaign) -> None:
     if store:
         print(f"  baseline store       {store['entries']} entries "
               f"({store['backend']}, fingerprint {store['fingerprint']})")
-    print(f"  digest cache         {cache.get('hits', 0)} hits / "
-          f"{cache.get('misses', 0)} misses "
-          f"({cache.get('hit_rate', 0.0):.0%})")
+    hits, misses = cache.get("hits", 0), cache.get("misses", 0)
+    hit_rate = hits / (hits + misses) if hits + misses else 0.0
+    print(f"  digest cache         {hits} hits / {misses} misses "
+          f"({hit_rate:.0%})")
     print(f"  store hits/misses    {cache.get('store_hits', 0)} / "
           f"{cache.get('store_misses', 0)}")
-    print(f"  deferred digests     {perf.get('deferred_digests', 0)}")
-    print(f"  bytes digested       {perf.get('bytes_digested', 0):,}")
+    print(f"  deferred digests     {cache.get('deferred', 0)}")
+    print(f"  bytes digested       {cache.get('bytes_digested', 0):,}")
     print(f"  bytes inspected      {perf.get('bytes_inspected', 0):,}")
 
 

@@ -24,8 +24,8 @@ Quickstart::
 """
 
 from . import (analysis, baselines, benign, core, corpus, crypto,
-               experiments, fs, magic, perfstats, ransomware, sandbox,
-               simhash, telemetry)
+               experiments, fs, magic, ransomware, sandbox, simhash,
+               telemetry)
 from .core import CryptoDropConfig, CryptoDropMonitor, Detection
 from .telemetry import DetectionTimeline, TelemetrySession
 from .entropy import (WeightedEntropyMean, corrected_entropy,
@@ -43,7 +43,7 @@ __all__ = [
     "VirtualFileSystem", "VirtualMachine", "WeightedEntropyMean",
     "WinPath", "__version__", "analysis", "baselines", "benign", "core",
     "corrected_entropy", "corpus", "crypto", "entropy_weight",
-    "experiments", "fs", "magic", "perfstats", "ransomware", "run_benign",
+    "experiments", "fs", "magic", "ransomware", "run_benign",
     "RecoveryReport", "TraceRecord", "TraceRecorder", "recover_from_shadow", "replay_trace",
     "run_campaign", "run_sample", "sandbox", "shannon_entropy", "simhash",
     "telemetry", "windowed_entropy",

@@ -753,21 +753,30 @@ class AnalysisEngine(FilterDriver):
             "fallbacks": dict(self.stream_fallbacks),
         }
 
-    def store_stats(self) -> Optional[dict]:
-        """Attached baseline store's storage/residency view, or ``None``.
+    def stats(self) -> dict:
+        """The engine's counter snapshot — its one stats channel.
 
-        For the mmap backend this is the operator's memory story: how
-        many records have been paged in from disk and how many sit in
-        the bounded hot-entry LRU right now (``resident`` ≤
-        ``hot_capacity``, never the corpus size).
+        Digest-cache traffic, bytes digested against bytes closed,
+        scheduler and stream lifecycle counters, and measured
+        ``post_operation`` wall time per op kind (``op_wall_us``, the
+        only non-deterministic leaf).  ``export_report`` publishes it,
+        ``SampleResult.perf`` carries it per sample, and
+        ``telemetry.engine_snapshot`` mirrors it into gauges.  The
+        attached store's paging counters are not part of it: one store
+        serves a whole campaign, so they are not per-engine.
         """
-        store = self.cache.baseline_store
-        if store is None:
-            return None
-        stats = store.page_stats()
-        stats["entries"] = len(store)
-        stats["fingerprint"] = store.fingerprint
-        return stats
+        return {
+            "ops_seen": dict(self.op_counts),
+            "bytes_inspected": self.bytes_inspected,
+            "bytes_closed": self.bytes_closed,
+            "tracked_files": len(self.cache),
+            "detections": len(self.detections),
+            "processes_scored": len(self.scoreboard.rows()),
+            "digest_cache": self.cache.digest_cache.stats(),
+            "scheduler": self.scheduler.stats(),
+            "streaming": self.stream_stats(),
+            "op_wall_us": dict(self.op_wall_us),
+        }
 
     def stream_entropy_of(self, handle_id: int) -> Optional[float]:
         """Corrected entropy of everything written through a live handle,

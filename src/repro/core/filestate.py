@@ -100,9 +100,10 @@ class DigestCache:
     The key is a 16-byte BLAKE2b of the content — hashing is ~50× cheaper
     than digesting, so a hit turns a close-time inspection into a lookup.
     Hit/miss/eviction counters and the bytes-digested tally feed
-    :mod:`repro.perfstats`; entries are deliberately *not* serialised by
-    checkpoints (a restored engine re-digests rather than trusting stale
-    results — see :meth:`FileStateCache.restore`).
+    :meth:`~repro.core.engine.AnalysisEngine.stats`; entries are
+    deliberately *not* serialised by checkpoints (a restored engine
+    re-digests rather than trusting stale results — see
+    :meth:`FileStateCache.restore`).
     """
 
     __slots__ = ("capacity", "hits", "misses", "evictions",

@@ -215,15 +215,5 @@ class CryptoDropMonitor:
         return self.engine.scheduler.flush()
 
     def stats(self) -> dict:
-        return {
-            "ops_seen": dict(self.engine.op_counts),
-            "bytes_inspected": self.engine.bytes_inspected,
-            "bytes_closed": self.engine.bytes_closed,
-            "tracked_files": len(self.engine.cache),
-            "detections": len(self.engine.detections),
-            "processes_scored": len(self.engine.scoreboard.rows()),
-            "digest_cache": self.engine.cache.digest_cache.stats(),
-            "scheduler": self.engine.scheduler.stats(),
-            "streaming": self.engine.stream_stats(),
-            "op_wall_us": dict(self.engine.op_wall_us),
-        }
+        """The engine's counter snapshot (see :meth:`AnalysisEngine.stats`)."""
+        return self.engine.stats()

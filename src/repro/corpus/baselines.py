@@ -331,16 +331,6 @@ class BaselineStore:
                 and self.digests_enabled == digests_enabled
                 and (seed is None or self.seed == seed))
 
-    def stats(self) -> dict:
-        stats = {
-            "entries": len(self._impl),
-            "total_bytes": self.total_bytes,
-            "build_seconds": round(self.build_seconds, 6),
-            "backend": self.backend,
-        }
-        stats.update(self._impl.page_stats())
-        return stats
-
     def page_stats(self) -> dict:
         """Backend residency/paging counters (all-resident for dict)."""
         return self._impl.page_stats()

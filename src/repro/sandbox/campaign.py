@@ -15,7 +15,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.config import CryptoDropConfig
 from ..corpus.builder import GeneratedCorpus, generate
-from ..perfstats import merge_perf_dicts
 from ..telemetry import TelemetrySession, merge_telemetry_dicts
 from .machine import VirtualMachine
 from .runner import SampleResult, run_sample
@@ -53,6 +52,16 @@ def store_for_config(corpus: GeneratedCorpus,
 ProgressFn = Callable[[int, int, SampleResult], None]
 
 
+def _add_leaves(total: dict, entry: dict) -> None:
+    """Sum ``entry`` into ``total`` leaf by leaf: numbers add, nested
+    dicts recurse, anything else (flags, strings, None) is dropped."""
+    for key, value in entry.items():
+        if isinstance(value, dict):
+            _add_leaves(total.setdefault(key, {}), value)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            total[key] = total.get(key, 0) + value
+
+
 @dataclass
 class CampaignResult:
     """Aggregated outcome of one cohort sweep."""
@@ -67,11 +76,13 @@ class CampaignResult:
     telemetry: Optional[dict] = field(default=None, compare=False)
 
     def perf_stats(self) -> dict:
-        """``monitor.stats()``-style aggregate of per-sample engine
-        counters, merged across every sample that carried them, plus the
-        campaign-level execution counters in :attr:`perf`."""
-        merged = merge_perf_dicts([r.perf for r in self.results
-                                   if r.perf is not None])
+        """Per-sample ``monitor.stats()`` dicts summed leaf by leaf
+        across every sample that carried one (``samples`` counts them),
+        plus the campaign-level execution counters in :attr:`perf`."""
+        per_sample = [r.perf for r in self.results if r.perf is not None]
+        merged = {"samples": len(per_sample)}
+        for perf in per_sample:
+            _add_leaves(merged, perf)
         merged.update(self.perf)
         return merged
 

@@ -17,7 +17,6 @@ from ..core.monitor import CryptoDropMonitor
 from ..fs.events import OpKind
 from ..fs.paths import WinPath
 from ..fs.recorder import OperationRecorder
-from ..perfstats import collect
 from ..telemetry.timeline import indicator_totals
 from .machine import RunOutcome, VirtualMachine
 
@@ -56,9 +55,9 @@ class SampleResult:
     cipher: str = ""
     #: total reputation points per indicator (entropy/type_change/...)
     indicator_points: dict = field(default_factory=dict)
-    #: per-sample engine perf counters (repro.perfstats dict); transient —
-    #: not journalled, excluded from equality so journal round trips stay
-    #: exact
+    #: per-sample engine counters (the monitor's ``stats()`` dict);
+    #: transient — not journalled, excluded from equality so journal
+    #: round trips stay exact
     perf: Optional[dict] = field(default=None, repr=False, compare=False)
     #: per-sample telemetry snapshot (``TelemetrySession.export()``:
     #: ring events + metric state); None unless the run's config enabled
@@ -176,7 +175,7 @@ def _run_sample_attached(machine: VirtualMachine, sample,
         cipher=profile.cipher_kind,
         indicator_points=indicator_totals(row.history),
     )
-    result.perf = collect(monitor).as_dict()
+    result.perf = monitor.stats()
     if detection is not None:
         detection.files_lost = damage.files_lost
     if monitor.telemetry is not None:

@@ -5,8 +5,8 @@ Four pieces (see ``docs/observability.md`` for the operator view):
 * :mod:`~repro.telemetry.events` — typed, timestamped events on a
   bounded ring-buffer bus with pluggable subscribers;
 * :mod:`~repro.telemetry.metrics` — counters / gauges / fixed-bucket
-  histograms, checkpoint- and campaign-merge-able, absorbing the
-  ``repro.perfstats`` counters behind a compatibility shim;
+  histograms, checkpoint- and campaign-merge-able, plus
+  ``engine_snapshot`` gauges mirroring the engine's ``stats()``;
 * :mod:`~repro.telemetry.export` — JSONL event logs and Prometheus text
   exposition;
 * :mod:`~repro.telemetry.timeline` — per-process detection narratives
@@ -38,8 +38,7 @@ from .metrics import (BATCH_SIZE_BUCKETS, FILES_LOST_BUCKETS,
                       OP_WALL_US_BUCKETS, QUEUE_DEPTH_BUCKETS,
                       SCORE_BUCKETS,
                       Counter, Gauge, Histogram, MetricsRegistry,
-                      collect_perfstats, engine_snapshot, ingest_snapshot,
-                      merge_metric_states)
+                      engine_snapshot, ingest_snapshot, merge_metric_states)
 from .timeline import (DetectionTimeline, TimelineEntry, build_timeline,
                        indicator_totals, merge_indicator_totals,
                        timelines_by_process)
@@ -57,8 +56,7 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "BATCH_SIZE_BUCKETS", "FILES_LOST_BUCKETS", "SCORE_BUCKETS",
     "OP_WALL_US_BUCKETS", "QUEUE_DEPTH_BUCKETS",
-    "collect_perfstats", "engine_snapshot", "ingest_snapshot",
-    "merge_metric_states",
+    "engine_snapshot", "ingest_snapshot", "merge_metric_states",
     # export
     "JsonlWriter", "write_jsonl", "read_jsonl", "render_prometheus",
     "validate_exposition",
@@ -195,7 +193,7 @@ class TelemetrySession:
 def merge_telemetry_dicts(snapshots) -> dict:
     """Fold per-sample/per-worker :meth:`TelemetrySession.export` dicts
     into one campaign-wide view (the telemetry analogue of
-    ``perfstats.merge_perf_dicts``).
+    ``CampaignResult.perf_stats()``).
 
     Metric states add; bus counters add; per-kind counts add.  Ring
     events are *not* concatenated — a campaign keeps per-sample event

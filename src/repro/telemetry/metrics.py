@@ -14,11 +14,10 @@ Two kinds of state live here:
   time).  These are lifetime counters: engine checkpoints carry them and
   restore re-seeds them, the same way the digest cache's counters travel
   (buffered *events* never checkpoint — see ``AnalysisEngine.checkpoint``).
-* **snapshots** — the existing :mod:`repro.perfstats` counters, absorbed
-  behind a compatibility shim: :func:`collect_perfstats` is the canonical
-  implementation of ``repro.perfstats.collect`` (which now delegates
-  here), and :func:`engine_snapshot` mirrors the same counters into
-  registry gauges so one Prometheus scrape carries both worlds.
+* **snapshots** — :func:`engine_snapshot` mirrors the engine's
+  ``stats()`` counters (plus the attached store's paging counters) into
+  registry gauges, and :func:`ingest_snapshot` does the same for an
+  ingest session, so one Prometheus scrape carries both worlds.
 
 Bucket layouts are fixed (not configurable per-run) so campaign-wide
 merges are always bucket-compatible.
@@ -29,14 +28,11 @@ from __future__ import annotations
 import bisect
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..perfstats import PerfStats
-
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "FILES_LOST_BUCKETS", "SCORE_BUCKETS", "OP_WALL_US_BUCKETS",
     "QUEUE_DEPTH_BUCKETS",
-    "collect_perfstats", "engine_snapshot", "ingest_snapshot",
-    "merge_metric_states",
+    "engine_snapshot", "ingest_snapshot", "merge_metric_states",
 ]
 
 #: detection latency measured in files lost before suspension (paper
@@ -298,114 +294,78 @@ def merge_metric_states(states: Iterable[dict]) -> MetricsRegistry:
 
 
 # ---------------------------------------------------------------------------
-# perfstats absorption
+# snapshots
 # ---------------------------------------------------------------------------
-
-def collect_perfstats(engine) -> PerfStats:
-    """Snapshot the engine's hot-path counters into a :class:`PerfStats`.
-
-    Canonical implementation behind the ``repro.perfstats.collect``
-    compatibility shim — accepts an ``AnalysisEngine`` or a
-    ``CryptoDropMonitor`` (anything with an ``engine`` attribute is
-    unwrapped), exactly as the pre-telemetry collector did, so
-    ``BENCH_*.json`` schemas and every existing caller keep working.
-    """
-    engine = getattr(engine, "engine", engine)
-    cache_stats = engine.cache.digest_cache.stats()
-    return PerfStats(
-        digest_cache_hits=cache_stats["hits"],
-        digest_cache_misses=cache_stats["misses"],
-        digest_cache_evictions=cache_stats["evictions"],
-        digest_cache_entries=cache_stats["entries"],
-        digest_cache_capacity=cache_stats["capacity"],
-        store_hits=cache_stats["store_hits"],
-        store_misses=cache_stats["store_misses"],
-        deferred_digests=cache_stats["deferred"],
-        bytes_digested=cache_stats["bytes_digested"],
-        bytes_closed=engine.bytes_closed,
-        bytes_inspected=engine.bytes_inspected,
-        tracked_files=len(engine.cache),
-        detections=len(engine.detections),
-        op_counts=dict(engine.op_counts),
-        op_wall_us=dict(engine.op_wall_us),
-    )
-
 
 def engine_snapshot(engine,
                     registry: Optional[MetricsRegistry] = None
                     ) -> MetricsRegistry:
-    """Mirror the perfstats counters into registry gauges/counters.
+    """Mirror an engine's (or monitor's) ``stats()`` into registry gauges.
 
     Lets one Prometheus exposition carry both the live telemetry
-    instruments and the engine's operational counters.  Idempotent over a
-    registry: gauges are set, not accumulated.
+    instruments and the engine's operational counters.  The attached
+    baseline store's paging counters come from its own ``page_stats()``:
+    they are store-wide, so ``stats()`` leaves them out.  Idempotent over
+    a registry: gauges are set, not accumulated.
     """
-    stats = collect_perfstats(engine)
+    stats = engine.stats()
+    cache_stats = stats["digest_cache"]
+    streaming = stats["streaming"]
     registry = registry if registry is not None else MetricsRegistry()
     cache = registry.gauge("cryptodrop_digest_cache",
                            "digest LRU traffic and occupancy")
-    cache.set(stats.digest_cache_hits, event="hits")
-    cache.set(stats.digest_cache_misses, event="misses")
-    cache.set(stats.digest_cache_evictions, event="evictions")
-    cache.set(stats.digest_cache_entries, event="entries")
-    cache.set(stats.digest_cache_capacity, event="capacity")
+    for event in ("hits", "misses", "evictions", "entries", "capacity"):
+        cache.set(cache_stats[event], event=event)
     store = registry.gauge("cryptodrop_baseline_store_lookups",
                            "corpus BaselineStore resolution traffic")
-    store.set(stats.store_hits, result="hit")
-    store.set(stats.store_misses, result="miss")
+    store.set(cache_stats["store_hits"], result="hit")
+    store.set(cache_stats["store_misses"], result="miss")
     registry.gauge("cryptodrop_deferred_digests",
                    "inspections whose digest was deferred to the scheduler"
-                   ).set(stats.deferred_digests)
+                   ).set(cache_stats["deferred"])
     volume = registry.gauge("cryptodrop_bytes",
                             "content bytes through the inspection paths")
-    volume.set(stats.bytes_digested, path="digested")
-    volume.set(stats.bytes_closed, path="closed")
-    volume.set(stats.bytes_inspected, path="inspected")
+    volume.set(cache_stats["bytes_digested"], path="digested")
+    volume.set(stats["bytes_closed"], path="closed")
+    volume.set(stats["bytes_inspected"], path="inspected")
+    volume.set(streaming["bytes_streamed"], path="streamed")
     registry.gauge("cryptodrop_tracked_files",
-                   "baselines currently tracked").set(stats.tracked_files)
+                   "baselines currently tracked").set(stats["tracked_files"])
     registry.gauge("cryptodrop_detections",
-                   "threshold crossings recorded").set(stats.detections)
+                   "threshold crossings recorded").set(stats["detections"])
     ops = registry.gauge("cryptodrop_ops_seen",
                          "operations handled, per kind")
-    for op_kind, count in sorted(stats.op_counts.items()):
+    for op_kind, count in sorted(stats["ops_seen"].items()):
         ops.set(count, kind=op_kind)
     wall = registry.gauge("cryptodrop_op_wall_us_sum",
                           "measured post_operation wall time per kind, "
                           "microseconds")
-    for op_kind, total_us in sorted(stats.op_wall_us.items()):
+    for op_kind, total_us in sorted(stats["op_wall_us"].items()):
         wall.set(round(total_us, 3), kind=op_kind)
-    eng = getattr(engine, "engine", engine)
-    if callable(getattr(eng, "stream_stats", None)):
-        streaming = eng.stream_stats()
-        streams = registry.gauge(
-            "cryptodrop_stream_digests",
-            "incremental close-path digest stream lifecycle")
-        streams.set(streaming["started"], event="started")
-        streams.set(streaming["finalized"], event="finalized")
-        streams.set(streaming["in_flight"], event="in_flight")
-        volume.set(streaming["bytes_streamed"], path="streamed")
-        fallbacks = registry.gauge(
-            "cryptodrop_stream_digest_fallbacks",
-            "streams abandoned for the whole-content path, per reason")
-        for reason, count in sorted(streaming["fallbacks"].items()):
-            fallbacks.set(count, reason=reason)
-    baseline_store = getattr(getattr(eng, "cache", None),
-                             "baseline_store", None)
-    if baseline_store is not None and \
-            callable(getattr(baseline_store, "page_stats", None)):
+    streams = registry.gauge(
+        "cryptodrop_stream_digests",
+        "incremental close-path digest stream lifecycle")
+    for event in ("started", "finalized", "in_flight"):
+        streams.set(streaming[event], event=event)
+    fallbacks = registry.gauge(
+        "cryptodrop_stream_digest_fallbacks",
+        "streams abandoned for the whole-content path, per reason")
+    for reason, count in sorted(streaming["fallbacks"].items()):
+        fallbacks.set(count, reason=reason)
+    registry.gauge(
+        "cryptodrop_scheduler_pending_bytes",
+        "content bytes retained by deferred (pending) inspections"
+        ).set(stats["scheduler"]["pending_bytes"])
+    baseline_store = getattr(engine, "engine", engine).cache.baseline_store
+    if baseline_store is not None:
         paging = baseline_store.page_stats()
         registry.gauge("cryptodrop_store_page_ins",
                        "baseline-store records deserialised from disk "
                        "(mmap backend; 0 for resident dict storage)"
-                       ).set(paging.get("page_ins", 0))
+                       ).set(paging["page_ins"])
         registry.gauge("cryptodrop_store_resident_entries",
                        "baseline-store entries resident in memory"
-                       ).set(paging.get("resident", 0),
-                             storage=paging.get("storage", "dict"))
-    registry.gauge(
-        "cryptodrop_scheduler_pending_bytes",
-        "content bytes retained by deferred (pending) inspections"
-        ).set(eng.scheduler.pending_bytes)
+                       ).set(paging["resident"], storage=paging["storage"])
     return registry
 
 

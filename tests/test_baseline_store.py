@@ -146,8 +146,8 @@ class TestCampaignEquality:
         perf = legs["store"].perf_stats()
         assert perf["digest_cache"]["store_hits"] > 0
         assert perf["baseline_store"] is not None
-        assert perf["bytes_digested"] < \
-            legs["storeless"].perf_stats()["bytes_digested"]
+        assert perf["digest_cache"]["bytes_digested"] < \
+            legs["storeless"].perf_stats()["digest_cache"]["bytes_digested"]
 
     def test_campaign_perf_aggregates_samples(self, legs):
         perf = legs["store"].perf_stats()
@@ -168,6 +168,27 @@ class TestCampaignEquality:
         assert second.perf_stats()["digest_cache"]["store_hits"] > 0
 
 
+class TestCampaignCounterMerge:
+    def test_serial_and_parallel_merge_the_same_counters(self):
+        corpus = generate(seed=41, n_files=60, n_dirs=6, use_cache=False)
+        profiles = _profiles(9)
+        serial = run_campaign([instantiate(p) for p in profiles], corpus)
+        parallel = run_campaign_parallel(
+            [instantiate(p) for p in profiles], corpus, workers=2)
+        merged = []
+        for campaign in (serial, parallel):
+            perf = campaign.perf_stats()
+            # measured time and execution shape, not engine counters
+            for key in ("op_wall_us", "wall_seconds", "samples_per_second",
+                        "workers", "retry_backoffs"):
+                perf.pop(key, None)
+            merged.append(perf)
+        assert merged[0]["samples"] == len(profiles)
+        assert merged[0]["digest_cache"]["misses"] == sum(
+            r.perf["digest_cache"]["misses"] for r in serial.results)
+        assert merged[0] == merged[1]
+
+
 class TestLazyCloseDigests:
     def test_lazy_and_eager_score_identically(self, corpus):
         # lazy: the engine's deferred captures; eager: the reference
@@ -178,10 +199,10 @@ class TestLazyCloseDigests:
             eager = run_campaign([instantiate(p) for p in profiles], corpus,
                                  use_baseline_store=False)
         assert _fingerprint(lazy) == _fingerprint(eager)
-        assert lazy.perf_stats()["deferred_digests"] > 0
+        assert lazy.perf_stats()["digest_cache"]["deferred"] > 0
         # deferral skips the digests no comparison needs
-        assert lazy.perf_stats()["bytes_digested"] <= \
-            eager.perf_stats()["bytes_digested"]
+        assert lazy.perf_stats()["digest_cache"]["bytes_digested"] <= \
+            eager.perf_stats()["digest_cache"]["bytes_digested"]
 
 
 class TestCheckpointIdentity:

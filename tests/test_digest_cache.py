@@ -15,7 +15,6 @@ from repro.core import CryptoDropConfig, CryptoDropMonitor
 from repro.core.filestate import DigestCache, FileStateCache
 from repro.corpus.wordlists import paragraphs
 from repro.fs import DOCUMENTS, TEMP, VirtualFileSystem
-from repro.perfstats import collect
 
 def _text(seed, n=9000):
     return paragraphs(random.Random(seed), n).encode()
@@ -137,12 +136,12 @@ class TestEngineCachePath:
         for _ in range(4):
             for i in range(6):
                 _rewrite_same(vfs, pid, DOCUMENTS / f"doc{i}.txt")
-        stats = collect(monitor)
-        assert stats.bytes_closed > 0
-        assert stats.bytes_digested <= stats.bytes_closed
-        assert stats.single_digest_holds
+        stats = monitor.stats()
+        digested = stats["digest_cache"]["bytes_digested"]
+        assert stats["bytes_closed"] > 0
+        assert digested <= stats["bytes_closed"]
         # only the six baseline captures ever digested
-        assert stats.bytes_digested == sum(len(_text(i)) for i in range(6))
+        assert digested == sum(len(_text(i)) for i in range(6))
 
     def test_class_b_move_back_reuses_digest(self, env):
         """Move out to temp, back into Documents, close unchanged: the
@@ -155,8 +154,9 @@ class TestEngineCachePath:
         vfs.rename(pid, staged, src)
         _rewrite_same(vfs, pid, src)
         assert dc.hits >= 1
-        stats = collect(monitor)
-        assert stats.bytes_digested <= stats.bytes_inspected
+        stats = monitor.stats()
+        assert stats["digest_cache"]["bytes_digested"] <= \
+            stats["bytes_inspected"]
 
     def test_no_scoreboard_row_for_hit_free_ops(self, env):
         vfs, monitor, pid = env

@@ -11,13 +11,15 @@ trust.
 """
 
 import os
+import random
 import struct
 
 import pytest
 
-from repro.core import CryptoDropConfig
+from repro.core import CryptoDropConfig, CryptoDropMonitor
 from repro.core.filestate import FileStateCache
 from repro.corpus import BaselineStore, content_key, generate
+from repro.corpus.wordlists import paragraphs
 from repro.ransomware import instantiate
 from repro.ransomware.factory import working_cohort
 from repro.sandbox import VirtualMachine, run_campaign, store_for_config
@@ -25,7 +27,8 @@ from repro.sandbox.parallel import build_store_parallel
 from repro.store import (MmapBackend, StoreFormatError, fsck_store,
                          merge_store_files)
 from repro.store.format import HEADER_SIZE
-from repro.telemetry import TelemetrySession
+from repro.telemetry import (TelemetrySession, engine_snapshot,
+                             render_prometheus, validate_exposition)
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +237,72 @@ class TestCampaignIdentity:
     def test_unknown_storage_rejected(self, corpus):
         with pytest.raises(ValueError, match="storage"):
             corpus.baseline_store(storage="carrier-pigeon")
+
+
+class TestEngineSnapshot:
+    """``engine_snapshot`` scrapes exactly what ``stats()`` reports, plus
+    the attached store's page-ins."""
+
+    def test_gauges_mirror_stats(self, corpus, mmap_store):
+        machine = VirtualMachine(corpus, baseline_store=mmap_store)
+        monitor = CryptoDropMonitor(
+            machine.vfs, CryptoDropConfig(stream_digest_min_bytes=0),
+            baseline_store=mmap_store).attach()
+        vfs, docs = machine.vfs, machine.docs_root
+        pid = vfs.processes.spawn("editor.exe").pid
+        for row in corpus.files[:4]:
+            path = docs.joinpath(*(row.rel_dir + (row.name,)))
+            handle = vfs.open(pid, path, "rw")
+            data = vfs.read(pid, handle)
+            vfs.seek(pid, handle, 0)
+            vfs.write(pid, handle, data)
+            vfs.close(pid, handle)
+        # append-only export: a finalized stream; its copy hits the LRU
+        content = paragraphs(random.Random(5), 20_000).encode()
+        for name in ("export.log", "copy.log"):
+            handle = vfs.open(pid, docs / name, "w", create=True)
+            for start in range(0, len(content), 4096):
+                vfs.write(pid, handle, content[start:start + 4096])
+            vfs.close(pid, handle)
+        # seek back mid-write: a stream fallback
+        handle = vfs.open(pid, docs / "seeky.txt", "w", create=True)
+        vfs.write(pid, handle, b"a" * 3000)
+        vfs.seek(pid, handle, 0)
+        vfs.write(pid, handle, b"b" * 10)
+        vfs.close(pid, handle)
+
+        text = render_prometheus(engine_snapshot(monitor))
+        assert validate_exposition(text) == []
+        stats = monitor.stats()
+        monitor.detach()
+        cache, streaming = stats["digest_cache"], stats["streaming"]
+        assert streaming["finalized"] >= 1
+        assert streaming["fallbacks"] == {"nonsequential": 1}
+        assert cache["hits"] >= 1
+        page_ins = mmap_store.page_stats()["page_ins"]
+        assert page_ins > 0
+        scraped = {name: float(value) for name, value in
+                   (line.rsplit(" ", 1) for line in text.splitlines()
+                    if not line.startswith("#"))}
+        mirrored = {
+            'cryptodrop_digest_cache{event="hits"}': cache["hits"],
+            'cryptodrop_digest_cache{event="misses"}': cache["misses"],
+            'cryptodrop_bytes{path="digested"}': cache["bytes_digested"],
+            'cryptodrop_bytes{path="closed"}': stats["bytes_closed"],
+            'cryptodrop_bytes{path="inspected"}': stats["bytes_inspected"],
+            'cryptodrop_bytes{path="streamed"}':
+                streaming["bytes_streamed"],
+            'cryptodrop_stream_digests{event="started"}':
+                streaming["started"],
+            'cryptodrop_stream_digests{event="finalized"}':
+                streaming["finalized"],
+            'cryptodrop_stream_digest_fallbacks{reason="nonsequential"}':
+                streaming["fallbacks"]["nonsequential"],
+            "cryptodrop_scheduler_pending_bytes":
+                stats["scheduler"]["pending_bytes"],
+            "cryptodrop_store_page_ins": page_ins,
+        }
+        assert {name: scraped.get(name) for name in mirrored} == mirrored
 
 
 class TestCheckpointRestore:

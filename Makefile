@@ -1,18 +1,18 @@
 # Convenience entry points.  Tier-1 is plain `make test`; `make verify`
-# is the full pre-merge gate (tests + bench regression check); the chaos
-# suite (fault injection, worker kills, crash/resume) can be run on its
-# own while iterating on robustness work.
+# is the full pre-merge gate (tier-1 plus the same-process A/B speed
+# gates); the chaos suite (fault injection, worker kills, crash/resume)
+# can be run on its own while iterating on robustness work.  Whole-
+# workload performance is judged by perfbench (perfbench/README.md).
 
 PYTEST = PYTHONPATH=src python -m pytest -x -q
 
-.PHONY: verify test unit chaos bench bench-smoke bench-counters bench-check \
+.PHONY: verify test unit chaos bench bench-ab bench-counters \
 	telemetry-demo store-demo perfbench-smoke table1-check
 
 PERFBENCH_WORKLOADS = attack_replay benign_desktop bulk_append ingest_chaos
 
-# the default pre-merge gate: tier-1 tests, then the hot-path regression
-# check against the newest committed BENCH_<N>.json
-verify: test bench-check
+# the default pre-merge gate: tier-1 tests, then the A/B speed gates
+verify: test bench-ab
 
 test:
 	$(PYTEST)
@@ -26,18 +26,18 @@ chaos:
 	$(PYTEST) -m chaos tests/test_chaos.py tests/test_faults.py \
 		tests/test_ingest.py
 
-# full hot-path benchmark harness → BENCH_8.json (see docs/performance.md)
-bench:
-	PYTHONPATH=src python benchmarks/run_bench.py
+# the A/B speed gates, then the pytest-benchmark microbenches of the
+# hot paths (see docs/performance.md)
+bench: bench-ab
 	PYTHONPATH=src:benchmarks python -m pytest -q \
 		benchmarks/bench_performance.py benchmarks/bench_close_path.py \
 		benchmarks/bench_compare_batch.py
 
-# seconds-scale harness pass: validates every bench section end-to-end
-# without the full-scale timings (CI runs this on every push)
-bench-smoke:
-	PYTHONPATH=src python benchmarks/run_bench.py --smoke \
-		--output /tmp/BENCH.smoke.json
+# same-process A/B speed gates (~30 s on 2 CPUs): each fast path timed
+# against its reference in one process and held to its accepted ratio;
+# nothing is compared against a committed results file (CI runs this)
+bench-ab:
+	PYTHONPATH=src:benchmarks python -m pytest -q benchmarks/bench_ab.py
 
 # the close-path counter checks of benchmarks/bench_close_path.py without
 # the pytest-benchmark timing rounds (seconds; CI runs this on every push)
@@ -67,12 +67,6 @@ perfbench-smoke:
 table1-check:
 	PYTHONPATH=src python -m repro --scale full table1 \
 		| grep -v '^\[table1 completed in ' | diff tests/data/table1_full.txt -
-
-# regression gate: rerun the harness and fail on >25% hot-path slowdown
-# against the newest committed BENCH_<N>.json baseline
-bench-check:
-	PYTHONPATH=src python benchmarks/run_bench.py --output /tmp/BENCH.current.json
-	python benchmarks/check_regression.py --current /tmp/BENCH.current.json
 
 # telemetry walkthrough: one Class-A sample under a telemetry-enabled
 # monitor, full detection narrative printed (docs/observability.md)

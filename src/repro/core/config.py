@@ -122,7 +122,7 @@ class CryptoDropConfig:
     # -- telemetry (repro.telemetry) -------------------------------------------
     #: structured detection telemetry: event bus + metrics registry.
     #: Off by default — the disabled path is a single ``is None`` check at
-    #: every emit point (bench-gated at <2% on the close-heavy workload).
+    #: every emit point (tests/test_telemetry.py::TestDisabledPath).
     telemetry_enabled: bool = False
     #: ring-buffer capacity of the event bus (oldest events evicted;
     #: subscribers such as the JSONL exporter still see the full stream)

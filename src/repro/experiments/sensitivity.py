@@ -76,8 +76,9 @@ def run_sensitivity(scale: ExperimentScale = SMALL,
         subset.extend(by_family[family][:samples_per_family])
 
     result = SensitivityResult()
-    for profile in PROFILE_NAMES:
-        corpus = generate(scale.corpus_seed + hash(profile) % 1000,
+    for index, profile in enumerate(PROFILE_NAMES):
+        # a stable per-profile seed: str hash() is salted per process
+        corpus = generate(scale.corpus_seed + index,
                           scale.n_files, scale.n_dirs,
                           spec=profile_spec(profile), use_cache=False)
         fresh = [instantiate(s.profile) for s in subset]

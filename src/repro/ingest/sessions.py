@@ -14,8 +14,9 @@ The scheduler is a deterministic cooperative tick loop: every tick it
 (backpressure-aware, tenants in sorted order), (2) lets each shard apply
 up to ``tick_budget`` queued events, and (3) runs the heartbeat
 watchdog.  No wall clock, no threads: the same inputs always schedule
-identically, which is what lets the chaos matrix and BENCH_6 assert
-bit-identical verdicts between faulted and fault-free sessions.
+identically, which is what lets the chaos matrix
+(``tests/test_ingest.py::TestChaosMatrix``) assert bit-identical
+verdicts between faulted and fault-free sessions.
 """
 
 from __future__ import annotations

@@ -418,9 +418,9 @@ class MonitorShard:
         Detections and score rows keyed by deterministic replay process
         *names* (pids diverge between faulted and unfaulted runs — extra
         incarnations renumber them), with timestamps excluded: this is
-        the object the chaos matrix and BENCH_6 compare bit-for-bit
-        between faulted and fault-free runs.  ``None`` while the shard is
-        dead (no monitor incarnation to ask).
+        the object the chaos matrix (``tests/test_ingest.py``) compares
+        bit-for-bit between faulted and fault-free runs.  ``None`` while
+        the shard is dead (no monitor incarnation to ask).
         """
         monitor = self.supervisor.monitor
         if monitor is None:

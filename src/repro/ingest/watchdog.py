@@ -7,7 +7,7 @@ scheduler tick and, when a shard with pending work has missed
 ``miss_threshold`` consecutive beats, drives
 :meth:`~repro.ingest.MonitorShard.restart` — checkpoint revert plus
 journal-tail replay — and records the outage length as the recovery
-time reported by BENCH_6's ``ingest_resilience`` section.
+time in :meth:`stats` (pinned by ``tests/test_ingest.py::TestWatchdogUnit``).
 
 Disabled (the manager's ``watchdog=False``), dead shards stay dead and
 the session reports them as abandoned — the chaos matrix's control arm.

@@ -17,10 +17,10 @@ Pieces:
   shard merge used by ``build_store_parallel``;
 * :mod:`~repro.store.fsck` — offline integrity verification.
 
-Operator entry points: ``examples/store_tool.py`` (build/info/verify),
-the ``store_backend`` / ``store_hot_entries`` config knobs, and the
-BENCH_8 ``store_persistence`` section.  Format and tradeoffs:
-``docs/performance.md``.
+Operator entry points: ``examples/store_tool.py`` (build/info/verify)
+and the ``store_backend`` / ``store_hot_entries`` config knobs.  The
+contract is pinned by ``tests/test_store_disk.py``.  Format and
+tradeoffs: ``docs/performance.md``.
 """
 
 from .backend import DictBackend, StoreBackend

@@ -15,8 +15,8 @@ entries live:
 The contract both must honour: ``get(key)`` returns an entry equal to
 what :meth:`BaselineStore.build` would have produced for the same
 content under the same parameters — bit-identical verdicts between
-backends, gated by ``tests/test_store_disk.py`` and the BENCH_8
-``store_persistence`` section.
+backends, gated by
+``tests/test_store_disk.py::TestCampaignIdentity``.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ record's CRC and bounds (walked through the index, so dangling index
 rows surface too), and finally that the sum of the indexed keys
 reproduces the header's fingerprint state — the same O(1)-restorable
 identity that checkpoint validation trusts.  Used by
-``examples/store_tool.py verify`` and the BENCH_8 persistence section.
+``examples/store_tool.py verify``; a sharded parallel build must fsck
+clean (``tests/test_store_disk.py::TestShardedBuild``).
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ Design constraints, in order:
 1. **Disabled means free.**  Telemetry defaults off and every emit point
    in the hot paths is guarded by a single ``is None`` check on the
    engine's session slot — no event object is ever constructed, no
-   timestamp read, no callable invoked.  The bench harness gates this at
-   <2% on the close-heavy workload (``telemetry_overhead`` in
-   ``BENCH_4.json``).
+   timestamp read, no callable invoked.  Pinned by
+   ``tests/test_telemetry.py::TestDisabledPath``, which counts instrument
+   calls and event constructions on a disabled run.
 2. **Bounded memory.**  :class:`EventBus` is a ring buffer: a monitor
    left attached for days keeps the newest ``capacity`` events and counts
    what it dropped, rather than growing without limit.  Subscribers see

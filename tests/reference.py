@@ -16,7 +16,8 @@ build its cache::
     monkeypatch.setattr(repro.core.engine, "FileStateCache",
                         EagerFileStateCache)
 
-The benchmark harness uses :func:`eager_reference` for the same swap.
+The benchmark smoke pass (``tests/test_bench_smoke.py``) uses
+:func:`eager_reference` for the same swap.
 :func:`verdict_checkpoint` and :func:`detection_output` are what an engine
 and the reference must agree on; bookkeeping counters (digest cache,
 streams, wall times, telemetry metrics) describe the path, not the

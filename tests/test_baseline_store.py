@@ -124,6 +124,29 @@ class TestStoreResolution:
         with pytest.raises(ValueError, match="similarity"):
             FileStateCache(backend="ctph", baseline_store=store)
 
+    def test_pristine_rewrites_through_a_monitor_digest_nothing(
+            self, corpus, store):
+        # open, read, rewrite the same bytes, close: both the baseline
+        # capture and the close inspection resolve from the store
+        machine = VirtualMachine(corpus, baseline_store=store)
+        monitor = CryptoDropMonitor(machine.vfs,
+                                    baseline_store=store).attach()
+        vfs = machine.vfs
+        pid = vfs.processes.spawn("editor.exe").pid
+        for _ in range(2):
+            for row in corpus.files:
+                path = machine.docs_root.joinpath(*row.rel_dir, row.name)
+                handle = vfs.open(pid, path, "rw")
+                data = vfs.read(pid, handle)
+                vfs.seek(pid, handle, 0)
+                vfs.write(pid, handle, data)
+                vfs.close(pid, handle)
+        stats = monitor.stats()
+        monitor.detach()
+        assert stats["ops_seen"]["close"] == 2 * len(corpus.files)
+        assert stats["digest_cache"]["store_hits"] >= len(corpus.files)
+        assert stats["digest_cache"]["bytes_digested"] == 0
+
 
 class TestCampaignEquality:
     @pytest.fixture(scope="class")
@@ -166,6 +189,32 @@ class TestCampaignEquality:
         second = run_campaign([instantiate(p) for p in profiles], corpus)
         assert _fingerprint(first) == _fingerprint(second)
         assert second.perf_stats()["digest_cache"]["store_hits"] > 0
+
+
+class TestClassCDeleteCohort:
+    """The digest work a store saves a campaign, counted.  Class C with
+    delete disposal reads each original (a pristine store hit), writes
+    the ciphertext to a new file whose digest nothing ever compares, and
+    deletes the original: the store-backed engine digests nothing, where
+    the eager reference digests every version it sees."""
+
+    def test_store_leg_digests_nothing_eager_leg_does(self, corpus):
+        firsts = {}
+        for sample in working_cohort():
+            profile = sample.profile
+            if (profile.behavior_class == "C"
+                    and profile.class_c_disposal == "delete"):
+                firsts.setdefault(profile.family, profile)
+        profiles = list(firsts.values())
+        assert len(profiles) == 5
+        store = run_campaign([instantiate(p) for p in profiles], corpus)
+        with eager_reference():
+            eager = run_campaign([instantiate(p) for p in profiles], corpus)
+        assert _fingerprint(store) == _fingerprint(eager)
+        store_dc = store.perf_stats()["digest_cache"]
+        assert store_dc["store_hits"] > 0
+        assert store_dc["bytes_digested"] == 0
+        assert eager.perf_stats()["digest_cache"]["bytes_digested"] > 0
 
 
 class TestCampaignCounterMerge:

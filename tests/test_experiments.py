@@ -1,5 +1,10 @@
 """Experiment harness at TINY scale: every table/figure regenerates."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import (PAPER_OVERALL, PAPER_TABLE1, TINY,
@@ -152,6 +157,26 @@ class TestOtherExperiments:
         assert modelled["open"] < modelled["close"] < modelled["write"] \
             < modelled["rename"]
         assert "rename" in result.render()
+
+    def test_sensitivity_independent_of_hash_seed(self):
+        # str hash() is salted per process: a corpus seeded from it gives
+        # a different table under every PYTHONHASHSEED
+        src = Path(__file__).resolve().parent.parent / "src"
+        runs = [subprocess.Popen(
+                    [sys.executable, "-m", "repro", "--scale", "tiny",
+                     "sensitivity"],
+                    stdout=subprocess.PIPE, text=True,
+                    env={**os.environ, "PYTHONPATH": str(src),
+                         "PYTHONHASHSEED": seed})
+                for seed in ("1", "2")]
+        tables = []
+        for run in runs:
+            out, _ = run.communicate(timeout=240)
+            assert run.returncode == 0
+            tables.append([line for line in out.splitlines()
+                           if not line.startswith("[sensitivity completed")])
+        assert "accountant" in "\n".join(tables[0])
+        assert tables[0] == tables[1]
 
 
 class TestReportingHelpers:

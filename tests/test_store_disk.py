@@ -186,6 +186,14 @@ class TestResolutionChain:
         assert result.digested and result.digest is not None
         assert cache.digest_cache.store_hits == 1
         assert cache.digest_cache.bytes_digested == 0
+        # a pristine sweep over the whole reopened corpus pages every
+        # entry in from disk and still digests nothing
+        sweep = FileStateCache(baseline_store=mmap_store)
+        for blob in corpus.contents.values():
+            sweep.inspect(blob)
+        assert sweep.digest_cache.store_hits == len(corpus.contents)
+        assert sweep.digest_cache.bytes_digested == 0
+        assert mmap_store.page_stats()["page_ins"] == len(mmap_store)
 
     def test_incompatible_disk_store_rejected(self, mmap_store):
         with pytest.raises(ValueError, match="similarity"):

@@ -297,6 +297,73 @@ class TestEngineStreaming:
         assert stats["fallbacks"] == {}
 
 
+class TestStreamedCloseWork:
+    """What a streamed close saves, counted rather than timed: every
+    whole-buffer digest the engine can take (``inspect``'s live sdhash
+    and the scheduler's ``digest_many`` flush) is recorded by size."""
+
+    SIZE, CHUNK = 512 * 1024, 64 * 1024
+
+    @pytest.fixture
+    def whole_digests(self, monkeypatch):
+        import repro.core.filestate as filestate
+        import repro.core.schedule as schedule
+        sizes = []
+        real_sdhash, real_many = filestate._sdhash, schedule.digest_many
+
+        def counting_sdhash(content):
+            sizes.append(len(content))
+            return real_sdhash(content)
+
+        def counting_many(contents):
+            sizes.extend(len(content) for content in contents)
+            return real_many(contents)
+
+        monkeypatch.setattr(filestate, "_sdhash", counting_sdhash)
+        monkeypatch.setattr(schedule, "digest_many", counting_many)
+        return sizes
+
+    def _write(self, front_to_back):
+        """One new file written in chunks, closed and flushed; the LRU is
+        off so no key hit can stand in for the digest under test."""
+        vfs = VirtualFileSystem()
+        vfs._ensure_dirs(DOCUMENTS)
+        config = CryptoDropConfig(stream_digest_min_bytes=0,
+                                  digest_cache_entries=0,
+                                  max_inspect_bytes=2 * self.SIZE)
+        monitor = CryptoDropMonitor(vfs, config).attach()
+        pid = vfs.processes.spawn("writer.exe").pid
+        content = _text(60, self.SIZE)
+        path = DOCUMENTS / "archive.dat"
+        handle = vfs.open(pid, path, "w", create=True)
+        offsets = range(0, len(content), self.CHUNK)
+        for offset in (offsets if front_to_back else reversed(offsets)):
+            vfs.seek(pid, handle, offset)
+            vfs.write(pid, handle, content[offset:offset + self.CHUNK])
+        vfs.close(pid, handle)
+        monitor.flush_inspections()
+        record = monitor.engine.cache.get(vfs.peek_stat(path).node_id)
+        return content, monitor.engine.stream_stats(), record
+
+    def test_streamed_close_calls_no_whole_buffer_sdhash(self, whole_digests):
+        content, stats, record = self._write(front_to_back=True)
+        assert whole_digests == []
+        assert stats["finalized"] == 1
+        assert stats["bytes_streamed"] == len(content)
+        assert record.base_digest.hexdigest() == sdhash(content).hexdigest()
+        # the same bytes written back to front are no stream: the close
+        # pays for one whole-buffer digest
+        content, stats, _ = self._write(front_to_back=False)
+        assert whole_digests == [len(content)]
+        assert stats["finalized"] == 0
+
+    def test_append_only_stream_ends_with_no_fallbacks(self):
+        _, stats, _ = self._write(front_to_back=True)
+        assert stats["fallbacks"] == {}
+        assert stats["started"] == stats["finalized"] == 1
+        assert stats["in_flight"] == 0
+
+
 class TestStreamingIdentity:
     """Streamed runs against the eager reference ("off": it never
     streams).  Streams never checkpoint, but their lifetime counters do."""

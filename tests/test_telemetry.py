@@ -11,8 +11,9 @@ from repro.core import CryptoDropConfig, CryptoDropMonitor
 from repro.ransomware import cohort_by_family, instantiate
 from repro.sandbox import VirtualMachine, run_campaign
 from repro.sandbox.runner import run_sample
-from repro.telemetry import (EVENT_TYPES, BaselineResolved, EventBus,
-                             IndicatorFired, JsonlWriter, MetricsRegistry,
+from repro.telemetry import (EVENT_TYPES, BaselineResolved, Counter,
+                             EventBus, Gauge, Histogram, IndicatorFired,
+                             JsonlWriter, MetricsRegistry,
                              ProcessSuspended, ScoreDelta, TelemetrySession,
                              UnionBoost, build_timeline, event_from_dict,
                              indicator_totals, merge_telemetry_dicts,
@@ -118,6 +119,55 @@ class TestDisabledPath:
             == (on.detected, on.files_lost, on.score, on.union_fired)
         assert off.telemetry is None
         assert on.telemetry is not None
+
+    #: a tiny digest LRU and streams from the first byte, so a detection
+    #: also reaches the eviction, stream and batch-flush emit sites
+    BUSY = dict(digest_cache_entries=2, stream_digest_min_bytes=0)
+
+    @pytest.fixture
+    def instrument_calls(self, monkeypatch):
+        """Names of every instrument call and event construction."""
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for cls, method in ((Counter, "inc"), (Gauge, "set"),
+                            (Histogram, "observe"), (EventBus, "emit")):
+            monkeypatch.setattr(cls, method, counting(
+                f"{cls.__name__}.{method}", getattr(cls, method)))
+        for cls in EVENT_TYPES.values():
+            monkeypatch.setattr(cls, "__init__",
+                                counting(cls.__name__, cls.__init__))
+        return calls
+
+    def test_disabled_engine_makes_no_instrument_calls(self, machine,
+                                                       instrument_calls):
+        off = CryptoDropConfig(**self.BUSY)
+        run_sample(machine, teslacrypt_sample(), off)
+        assert instrument_calls == []
+        on = run_sample(machine, teslacrypt_sample(),
+                        telemetry_config(**self.BUSY))
+        assert {"IndicatorFired", "StreamDigestFinalized", "CacheEvicted",
+                "Counter.inc", "Histogram.observe"} <= set(instrument_calls)
+        assert on.telemetry["counts_by_kind"]["stream_digest_finalized"] > 0
+        assert on.telemetry["bus"]["emitted"] == len(
+            [name for name in instrument_calls if name == "EventBus.emit"])
+
+    def test_stats_identical_with_and_without(self, machine):
+        # telemetry observes the engine; it never changes what it counts
+        stats = []
+        for config in (CryptoDropConfig(**self.BUSY),
+                       telemetry_config(**self.BUSY)):
+            perf = dict(run_sample(machine, teslacrypt_sample(), config).perf)
+            perf.pop("op_wall_us")   # measured time, not a counter
+            stats.append(perf)
+        assert stats[0]["digest_cache"]["evictions"] > 0
+        assert stats[0]["streaming"]["finalized"] > 0
+        assert stats[0] == stats[1]
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from repro.faults import ingest_chaos, transient_faults
 from repro.ingest import EndpointSessionManager, record_endpoint_stream
 from repro.ransomware import instantiate
 from repro.ransomware.factory import working_cohort
-from repro.simhash.sdhash import (compare, compare_scalar, digest_many,
-                                  sdhash, sdhash_scalar)
+from repro.simhash.sdhash import compare, digest_many, sdhash
+from tests.reference import compare_scalar, sdhash_scalar
 
 
 def _best_seconds(fn, repeats: int) -> float:

@@ -9,7 +9,8 @@ by tests/test_simhash_vectorised.py and the speed gate by
 import pytest
 
 from conftest import digest_with_filters
-from repro.simhash.sdhash import compare, compare_scalar
+from repro.simhash.sdhash import compare
+from tests.reference import compare_scalar
 
 
 @pytest.fixture(scope="module")

@@ -3,16 +3,19 @@
 Shape target is the paper's cost ordering — open/read cheapest, then
 close (full-file inspection), then write, then rename (move tracking +
 linking) — plus real host-side microbenchmarks of the hot paths
-(windowed entropy, sdhash digesting, engine post-op handling).
+(windowed entropy, sdhash digesting at 11 KB ciphertext, 32 KiB random
+and 1 MiB text, a fresh 1×1 compare, engine post-op handling).
 """
 
 import random
 
 import pytest
 
+from repro.corpus.wordlists import paragraphs
+from repro.crypto import chacha20_xor
 from repro.entropy import shannon_entropy, windowed_entropy
 from repro.experiments import PAPER_PERF_MS, run_performance
-from repro.simhash import compare, sdhash
+from repro.simhash import SdDigest, compare, sdhash
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +79,40 @@ def test_bench_sdhash_compare(benchmark):
     b = sdhash(random.Random(1).randbytes(32768))
     score = benchmark(compare, a, b)
     assert score <= 5
+
+
+def _text(seed: int, size: int) -> bytes:
+    return paragraphs(random.Random(seed), size + 1024).encode()[:size]
+
+
+#: attack_replay's mean digest: an ~11 KB document's ciphertext
+_CIPHER_11K = chacha20_xor(bytes(32), bytes(12), _text(3, 11_000))
+_TEXT_1M = _text(4, 1 << 20)
+
+
+def test_bench_sdhash_digest_11k_ciphertext(benchmark):
+    digest = benchmark(sdhash, _CIPHER_11K)
+    assert digest is not None and len(digest) == 1
+
+
+def test_bench_sdhash_digest_1mib_text(benchmark):
+    digest = benchmark.pedantic(sdhash, args=(_TEXT_1M,), rounds=5,
+                                iterations=1)
+    assert digest is not None and len(digest) > 1
+
+
+def test_bench_sdhash_compare_1x1_fresh(benchmark):
+    """A close's compare: two one-filter digests holding only the packed
+    rows the kernel built, with nothing derived from them cached yet."""
+    a = sdhash(_CIPHER_11K)
+    b = sdhash(chacha20_xor(bytes(32), bytes(12), _text(5, 11_000)))
+
+    def fresh():
+        return tuple(SdDigest(d.packed_matrix(), d.counts, d.n_features,
+                              d.source_len) for d in (a, b)), {}
+
+    score = benchmark.pedantic(compare, setup=fresh, rounds=200)
+    assert len(a) == len(b) == 1 and score <= 5
 
 
 def test_bench_chacha20_bulk_1mb(benchmark):

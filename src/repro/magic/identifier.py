@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from .signatures import FILE_TYPES, SIGNATURES
 from .types import DATA, EMPTY, FileType
 
@@ -30,16 +28,22 @@ PREFIX_BYTES = 8192
 
 _TEXT_BYTES = frozenset(range(0x20, 0x7F)) | {0x09, 0x0A, 0x0D}
 
-#: boolean membership table for ``_TEXT_BYTES`` — one gather + count
-#: instead of a per-byte Python loop over an 8 KiB prefix on every close
-_TEXT_LUT = np.zeros(256, dtype=bool)
-_TEXT_LUT[list(_TEXT_BYTES)] = True
+#: ``_TEXT_BYTES`` as a ``bytes.translate`` delete table: deleting them
+#: leaves exactly the non-text bytes, counted in one C pass per close
+_TEXT_DELETE = bytes(sorted(_TEXT_BYTES))
+
+#: per value of a prefix's first byte, the signatures that can match it,
+#: in database order — an offset-0 pattern can only match under its own
+#: first byte, so the rest are skipped without changing the first match
+_CANDIDATES = [[sig for sig in SIGNATURES
+                if sig.offset or sig.pattern[0] == byte]
+               for byte in range(256)]
 
 
 def _printable_ratio(prefix: bytes) -> float:
     if not prefix:
         return 0.0
-    good = int(np.count_nonzero(_TEXT_LUT[np.frombuffer(prefix, np.uint8)]))
+    good = len(prefix) - len(prefix.translate(None, _TEXT_DELETE))
     return good / len(prefix)
 
 
@@ -59,8 +63,9 @@ def _sniff_text(prefix: bytes) -> Optional[FileType]:
         return FILE_TYPES["html"]
     if stripped.startswith("<?xml"):
         return FILE_TYPES["xml"]
-    if any(line.startswith(("function ", "param(", "$")) or "-join" in line
-           for line in lines[:10]) and "powershell" in head.lower():
+    if "powershell" in head.lower() and any(
+            line.startswith(("function ", "param(", "$")) or "-join" in line
+            for line in lines[:10]):
         return FILE_TYPES["ps1"]
     sample = [line for line in lines[:20] if line.strip()]
     if len(sample) >= 2:
@@ -79,7 +84,7 @@ def identify(data: bytes) -> FileType:
     if not data:
         return EMPTY
     prefix = bytes(data[:PREFIX_BYTES])
-    for sig in SIGNATURES:
+    for sig in _CANDIDATES[prefix[0]]:
         if sig.matches(prefix):
             if sig.refine is not None:
                 refined = sig.refine(prefix)

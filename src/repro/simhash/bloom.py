@@ -108,15 +108,6 @@ class BloomFilter:
             filt.add(feature_hash)
         return filt
 
-    @classmethod
-    def from_position_rows(cls, rows: np.ndarray) -> "BloomFilter":
-        """Build a filter from ``(k, BITS_PER_FEATURE)`` precomputed
-        positions (one row per feature) in a single scatter."""
-        filt = cls()
-        filt.bits[rows.reshape(-1)] = True
-        filt.count = rows.shape[0]
-        return filt
-
     def packed(self) -> np.ndarray:
         """The bit array packed to 256 uint8 values (np.packbits order)."""
         return np.packbits(self.bits)

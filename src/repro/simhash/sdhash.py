@@ -28,21 +28,28 @@ Algorithm (faithful in shape, simplified in constants — see DESIGN.md):
 * compare digests filter-by-filter; the score is the mean of each filter's
   best match against the other digest, scaled to 0–100.
 
-Every stage past the SHA-1 calls is batched through NumPy: feature
-selection uses a sliding-window maximum instead of a per-candidate Python
-loop, Bloom bit positions are derived for all features at once, and
-:func:`compare` evaluates every filter pair through a packed uint64/uint8
-bit-matrix with table-driven popcounts.  The original per-feature /
-per-pair implementations are retained as :func:`sdhash_scalar`,
-:func:`compare_scalar`, and ``_select_features_scalar``; the golden
-equivalence tests (``tests/test_simhash_vectorised.py``) pin the two
-paths bit-identical, and ``make bench`` measures the gap.
+Each stage has one implementation, which :func:`sdhash`,
+:func:`digest_many` and :class:`StreamingDigestState` all call: the
+anchor scan (:func:`_anchor_starts`, wrapping uint8 sums), the window
+entropies (:func:`_window_entropies`), the popularity rule
+(:func:`_popular`, shifted maxima over a line of entropies) and the
+feature emission (:func:`_feature_positions` hashes slices of one bytes
+object, :func:`_bloom_rows` scatters every filter of a batch into one
+bit matrix and packs it once).  :func:`sdhash` is the batched kernel run
+on a batch of one.  :func:`compare` scores a pair on Python ints;
+:func:`compare_many` stacks same-shape pairs into one batched popcount
+over the packed rows.
+The per-feature / per-pair scalar reading of the same definition lives
+in ``tests/reference.py``; the golden equivalence tests
+(``tests/test_simhash_vectorised.py``) pin the two bit-identical,
+``tests/data/sdhash_golden.txt`` pins absolute digests and scores, and
+``make bench-ab`` measures the gap.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -51,13 +58,13 @@ from .bloom import (FILTER_BITS, MAX_FEATURES, BloomFilter,
 
 __all__ = ["SdDigest", "sdhash", "compare", "digest_many", "compare_many",
            "StreamingDigestState",
-           "MIN_DIGEST_BYTES", "WINDOW", "ANCHOR_MASK", "sdhash_scalar",
-           "compare_scalar"]
+           "MIN_DIGEST_BYTES", "WINDOW", "ANCHOR_MASK"]
 
 WINDOW = 64
 #: anchor density: offsets where rolling-hash & ANCHOR_MASK == 0 (~1/16)
 ANCHOR_MASK = 15
-_ANCHOR_WEIGHTS = np.array([1, 3, 5, 7, 11, 13, 17, 19], dtype=np.int64)
+#: rolling-hash weights over the 8 bytes before a window
+_ANCHOR_WEIGHTS = np.array([1, 3, 5, 7, 11, 13, 17, 19], dtype=np.uint8)
 #: sdhash refuses to digest tiny inputs; the paper pins the practical
 #: threshold at 512 bytes ("sdhash is unable to generate similarity scores
 #: for such small files", §V-C — files < 512 B).
@@ -70,6 +77,8 @@ MIN_FEATURE_ENTROPY = 0.8
 #: neighbouring candidates to be selected (ties broken leftmost).
 POPULARITY_SPAN = 3
 
+_FILTER_BYTES = FILTER_BITS // 8
+
 
 def _as_bytes(data) -> bytes:
     """Copy only non-bytes inputs (memoryview, bytearray)."""
@@ -77,95 +86,120 @@ def _as_bytes(data) -> bytes:
 
 
 class SdDigest:
-    """A chained-Bloom-filter similarity digest."""
+    """A chained-Bloom-filter similarity digest.
 
-    __slots__ = ("filters", "n_features", "source_len", "_packed", "_pops")
+    It holds its filters packed: an ``(n_filters, 256)`` uint8 bit-matrix
+    in np.packbits order, plus each filter's feature count.  The kernel,
+    the store decoder and :meth:`from_state` all build it that way, so
+    :func:`compare` never packs anything.
+    """
 
-    def __init__(self, filters: List[BloomFilter], n_features: int,
-                 source_len: int) -> None:
-        self.filters = filters
+    __slots__ = ("counts", "n_features", "source_len", "_packed", "_pops",
+                 "_ints", "_filters")
+
+    def __init__(self, packed: np.ndarray, counts: List[int],
+                 n_features: int, source_len: int) -> None:
+        self._packed = packed
+        #: features per filter, in chain order
+        self.counts = counts
         self.n_features = n_features
         self.source_len = source_len
-        self._packed: Optional[np.ndarray] = None
         self._pops: Optional[np.ndarray] = None
+        self._ints: Optional[Tuple[List[int], List[int]]] = None
+        self._filters: Optional[List[BloomFilter]] = None
 
     def __len__(self) -> int:
-        return len(self.filters)
+        return self._packed.shape[0]
+
+    @property
+    def filters(self) -> List[BloomFilter]:
+        """The filters as :class:`BloomFilter` objects, unpacked on first
+        use; per-filter inspection reads them, the digest and compare
+        paths never do."""
+        if self._filters is None:
+            bits = np.unpackbits(self._packed, axis=1).astype(bool)
+            self._filters = []
+            for row, count in zip(bits, self.counts):
+                filt = BloomFilter()
+                filt.bits = row
+                filt.count = count
+                self._filters.append(filt)
+        return self._filters
 
     def packed_matrix(self) -> np.ndarray:
-        """All filters stacked as an ``(n_filters, 256)`` uint8 bit-matrix
-        (np.packbits order), built once and cached — what :func:`compare`
-        runs its all-pairs intersections over."""
-        if self._packed is None:
-            self._packed = np.stack([f.packed() for f in self.filters])
+        """All filters as an ``(n_filters, 256)`` uint8 bit-matrix
+        (np.packbits order) — what :func:`compare_many` intersects."""
         return self._packed
 
     def popcounts(self) -> np.ndarray:
-        """Per-filter set-bit counts, cached alongside the packed matrix."""
+        """Per-filter set-bit counts, computed once."""
         if self._pops is None:
-            self._pops = packed_popcount(self.packed_matrix())
+            self._pops = packed_popcount(self._packed)
         return self._pops
+
+    def _int_rows(self) -> Tuple[List[int], List[int]]:
+        """Each filter as one 2048-bit Python int, with its popcount;
+        computed once, for :func:`compare`."""
+        if self._ints is None:
+            raw = self._packed.tobytes()
+            words = [int.from_bytes(raw[lo:lo + _FILTER_BYTES], "big")
+                     for lo in range(0, len(raw), _FILTER_BYTES)]
+            self._ints = (words, [w.bit_count() for w in words])
+        return self._ints
 
     def hexdigest(self) -> str:
         """Stable textual form (for logging / golden tests)."""
-        h = hashlib.sha1()
-        for row in self.packed_matrix():
-            h.update(row.tobytes())
-        return h.hexdigest()
+        return hashlib.sha1(self._packed.tobytes()).hexdigest()
 
     # -- checkpoint serialization (JSON-safe, exact) -------------------
 
     def to_state(self) -> dict:
         return {
-            "filters": [{"bits": f.packed().tobytes().hex(),
-                         "count": f.count} for f in self.filters],
+            "filters": [{"bits": row.tobytes().hex(), "count": count}
+                        for row, count in zip(self._packed, self.counts)],
             "n_features": self.n_features,
             "source_len": self.source_len,
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "SdDigest":
-        filters: List[BloomFilter] = []
-        for entry in state["filters"]:
-            filt = BloomFilter()
-            packed = np.frombuffer(bytes.fromhex(entry["bits"]),
-                                   dtype=np.uint8)
-            filt.bits = np.unpackbits(packed).astype(bool)[:len(filt.bits)]
-            filt.count = int(entry["count"])
-            filters.append(filt)
-        return cls(filters, int(state["n_features"]),
-                   int(state["source_len"]))
+        entries = state["filters"]
+        raw = b"".join(bytes.fromhex(entry["bits"]) for entry in entries)
+        packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(entries),
+                                                            _FILTER_BYTES)
+        return cls(packed, [int(entry["count"]) for entry in entries],
+                   int(state["n_features"]), int(state["source_len"]))
 
 
-#: chunk length for the rolling-hash scan: bounds the int32 working set so
+# -- stage 1: anchors ---------------------------------------------------------
+
+#: chunk length for the rolling-hash scan: bounds its working set so
 #: multi-megabyte buffers (and batch concatenations) stay cache-resident
-#: instead of streaming eight full-length temporaries through DRAM
 _ANCHOR_CHUNK = 1 << 18
 
 
 def _anchor_starts(buf: np.ndarray) -> np.ndarray:
     """Rolling-hash anchor offsets over ``buf``, unfiltered.
 
-    Every intermediate fits int32 exactly (max rolling value is
-    ``sum(weights) * 255 = 19380``), so the chunked 32-bit accumulation
-    is the same integer arithmetic as the original int64 formulation.
+    Only ``rolling & ANCHOR_MASK`` is tested and 16 divides 256, so the
+    products and sums wrapped to uint8 decide exactly the anchors the
+    exact integer sum decides.
     """
     n = buf.size - 7
     if n <= 0:
         return np.zeros(0, dtype=np.int64)
     parts = []
-    tmp = None
+    acc = np.empty(min(n, _ANCHOR_CHUNK), dtype=np.uint8)
+    term = np.empty_like(acc)
     for lo in range(0, n, _ANCHOR_CHUNK):
-        m = min(n, lo + _ANCHOR_CHUNK) - lo
-        values = np.multiply(buf[lo:lo + m], np.int32(_ANCHOR_WEIGHTS[0]),
-                             dtype=np.int32)
-        if tmp is None or tmp.size < m:
-            tmp = np.empty(m, dtype=np.int32)
+        m = min(n - lo, _ANCHOR_CHUNK)
+        values, tmp = acc[:m], term[:m]
+        np.multiply(buf[lo:lo + m], _ANCHOR_WEIGHTS[0], out=values)
         for k in range(1, 8):
-            np.multiply(buf[lo + k:lo + k + m], np.int32(_ANCHOR_WEIGHTS[k]),
-                        dtype=np.int32, out=tmp[:m])
-            values += tmp[:m]
-        part = np.nonzero((values & ANCHOR_MASK) == 0)[0]
+            np.multiply(buf[lo + k:lo + k + m], _ANCHOR_WEIGHTS[k], out=tmp)
+            values += tmp
+        values &= ANCHOR_MASK
+        part = np.flatnonzero(values == 0)
         if part.size:
             parts.append(part + (lo + 8))
     if not parts:
@@ -181,6 +215,15 @@ def _anchor_positions(buf: np.ndarray) -> np.ndarray:
     starts = _anchor_starts(buf)
     return starts[starts + WINDOW <= len(buf)]
 
+
+def _windows(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The windows of ``buf`` at ``starts`` as an ``(n, WINDOW)`` array."""
+    every = np.lib.stride_tricks.as_strided(
+        buf, (buf.size - WINDOW + 1, WINDOW), (1, 1), writeable=False)
+    return every[starts]
+
+
+# -- stage 2: window entropies ------------------------------------------------
 
 #: term table for window entropies: _ENTROPY_TERMS[c] equals the
 #: ``p * log2(p)`` term for a byte count of c out of WINDOW, computed with
@@ -225,66 +268,95 @@ def _window_entropies(windows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _select_feature_windows(data: bytes) -> np.ndarray:
-    """The selected 64-byte windows of ``data`` as an ``(k, WINDOW)``
-    uint8 array (k may be 0), fully vectorised.
+# -- stage 3: popularity ------------------------------------------------------
 
-    The popularity rule is a sliding-window maximum: a candidate survives
-    when its entropy strictly exceeds every earlier neighbour's (leftmost
-    tie wins) and is no lower than any later neighbour's.
+
+def _popular(line: np.ndarray) -> np.ndarray:
+    """The popularity rule for the candidates ``line[span:-span]``.
+
+    ``line`` holds candidate entropies in window order with
+    ``POPULARITY_SPAN`` context values on each side: decided neighbours,
+    held-back candidates, or -inf where there is no neighbour (a buffer's
+    ends, the gaps between a batch's files).  A candidate is kept when it
+    reaches ``MIN_FEATURE_ENTROPY``, strictly exceeds each of its ``span``
+    left neighbours (the leftmost of a tie wins) and is no lower than any
+    of its ``span`` right neighbours.  Returns the keep mask.
     """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    starts = _anchor_positions(buf)
-    if starts.size == 0:
-        return np.zeros((0, WINDOW), dtype=np.uint8)
-    windows = np.lib.stride_tricks.sliding_window_view(buf, WINDOW)[starts]
-    entropies = _window_entropies(windows)
-    n = entropies.shape[0]
     span = POPULARITY_SPAN
-    padded = np.full(n + 2 * span, -np.inf)
-    padded[span:span + n] = entropies
-    neigh = np.lib.stride_tricks.sliding_window_view(padded, 2 * span + 1)
-    left_max = neigh[:, :span].max(axis=1)
-    right_max = neigh[:, span:].max(axis=1)      # includes the candidate
-    keep = ((entropies >= MIN_FEATURE_ENTROPY)
-            & (entropies > left_max)
-            & (entropies >= right_max))
-    return np.ascontiguousarray(windows[keep])
+    n = line.size - 2 * span
+    # q[j] = max(line[j:j + span]) from span - 1 shifted maxima; max is
+    # order-insensitive, so this is each neighbourhood's maximum exactly
+    q = line[:n + span + 1].copy()
+    for shift in range(1, span):
+        np.maximum(q, line[shift:shift + n + span + 1], out=q)
+    cand = line[span:span + n]
+    # the right neighbourhood q[i + span + 1] leaves the candidate out:
+    # e >= max(e, rest) reduces to e >= max(rest)
+    return ((cand >= MIN_FEATURE_ENTROPY) & (cand > q[:n])
+            & (cand >= q[span + 1:]))
+
+
+def _select(blobs: List[bytes]) -> Tuple[bytes, np.ndarray, np.ndarray]:
+    """Feature selection over a batch, in one pass over its concatenation.
+
+    Returns the concatenation, the start of each selected window in it
+    (ascending) and the index of the blob that holds it.  An anchor only
+    counts when its 8-byte context and its window both lie inside one
+    blob, and every blob's candidates sit on one line between -inf gaps
+    of ``POPULARITY_SPAN``, so each blob gets the selection it gets alone.
+    """
+    cat = b"".join(blobs)
+    buf = np.frombuffer(cat, dtype=np.uint8)
+    starts = _anchor_positions(buf)
+    offsets = np.zeros(len(blobs) + 1, dtype=np.int64)
+    np.cumsum([len(blob) for blob in blobs], out=offsets[1:])
+    file_of = np.searchsorted(offsets, starts, side="right") - 1
+    inside = ((starts - 8 >= offsets[file_of])
+              & (starts + WINDOW <= offsets[file_of + 1]))
+    starts, file_of = starts[inside], file_of[inside]
+    if starts.size == 0:
+        return cat, starts, file_of
+    span = POPULARITY_SPAN
+    line = np.full(starts.size + span * (len(blobs) + 1), -np.inf)
+    # candidate i of blob f sits at line[span:-span][i + span * f]: a gap
+    # of span -inf values between neighbouring blobs
+    slot = np.arange(starts.size) + span * file_of
+    line[span:-span][slot] = _window_entropies(_windows(buf, starts))
+    keep = _popular(line)[slot]
+    return cat, starts[keep], file_of[keep]
 
 
 def _select_features(data: bytes) -> List[bytes]:
     """Pick characteristic 64-byte windows of ``data``."""
-    return [w.tobytes() for w in _select_feature_windows(_as_bytes(data))]
+    cat, starts, _ = _select([_as_bytes(data)])
+    return [cat[s:s + WINDOW] for s in starts.tolist()]
 
 
-def _select_features_scalar(data: bytes) -> List[bytes]:
-    """Scalar reference for the popularity-window selection loop.
+# -- stage 4: feature emission ------------------------------------------------
 
-    Kept verbatim from the pre-vectorisation implementation; the golden
-    equivalence tests pin ``_select_features`` against it.
-    """
-    buf = np.frombuffer(bytes(data), dtype=np.uint8)
-    starts = _anchor_positions(buf)
-    if starts.size == 0:
-        return []
-    windows = np.lib.stride_tricks.sliding_window_view(buf, WINDOW)[starts]
-    entropies = _window_entropies(windows)
-    n = windows.shape[0]
-    eligible = entropies >= MIN_FEATURE_ENTROPY
-    features: List[bytes] = []
-    for idx in range(n):
-        if not eligible[idx]:
-            continue
-        lo = max(0, idx - POPULARITY_SPAN)
-        hi = min(n, idx + POPULARITY_SPAN + 1)
-        if entropies[idx] < entropies[lo:hi].max():
-            continue
-        # leftmost tie wins within the neighbourhood
-        if idx - lo > 0 and np.any(entropies[lo:idx] >= entropies[idx]):
-            continue
-        start = int(starts[idx])
-        features.append(bytes(data[start:start + WINDOW]))
-    return features
+
+def _feature_positions(windows: List[bytes]) -> np.ndarray:
+    """``(k, BITS_PER_FEATURE)`` Bloom bit positions of each window's
+    SHA-1."""
+    sha1 = hashlib.sha1
+    raw = b"".join([sha1(window).digest() for window in windows])
+    return feature_positions(np.frombuffer(raw, dtype=np.uint8)
+                             .reshape(-1, 20))
+
+
+def _bloom_rows(positions: np.ndarray, filt_of: np.ndarray,
+                n_filters: int) -> Tuple[np.ndarray, List[int]]:
+    """Every feature's bits scattered into its filter's row of one
+    ``(n_filters, FILTER_BITS)`` matrix, packed once: the packed rows
+    and each filter's feature count."""
+    bits = np.zeros((n_filters, FILTER_BITS), dtype=bool)
+    bits.reshape(-1)[(filt_of[:, None] * FILTER_BITS
+                      + positions).reshape(-1)] = True
+    return (np.packbits(bits, axis=1),
+            np.bincount(filt_of, minlength=n_filters).tolist())
+
+
+# -- entry points -------------------------------------------------------------
 
 
 def sdhash(data: bytes) -> Optional[SdDigest]:
@@ -292,34 +364,7 @@ def sdhash(data: bytes) -> Optional[SdDigest]:
     data = _as_bytes(data)
     if len(data) < MIN_DIGEST_BYTES:
         return None
-    windows = _select_feature_windows(data)
-    n = windows.shape[0]
-    if n < MIN_FEATURES:
-        return None
-    sha1 = hashlib.sha1
-    raw = b"".join([sha1(w).digest() for w in windows])
-    hashes = np.frombuffer(raw, dtype=np.uint8).reshape(n, 20)
-    positions = feature_positions(hashes)
-    filters = [BloomFilter.from_position_rows(positions[i:i + MAX_FEATURES])
-               for i in range(0, n, MAX_FEATURES)]
-    return SdDigest(filters, n, len(data))
-
-
-def sdhash_scalar(data: bytes) -> Optional[SdDigest]:
-    """Scalar reference digest path (per-feature hash + ``BloomFilter.add``
-    loop) — for golden equivalence tests and ``make bench`` only."""
-    data = bytes(data)
-    if len(data) < MIN_DIGEST_BYTES:
-        return None
-    features = _select_features_scalar(data)
-    if len(features) < MIN_FEATURES:
-        return None
-    filters: List[BloomFilter] = [BloomFilter()]
-    for feature in features:
-        if filters[-1].full:
-            filters.append(BloomFilter())
-        filters[-1].add(hashlib.sha1(feature).digest())
-    return SdDigest(filters, len(features), len(data))
+    return _digest_group([data])[0]
 
 
 #: cap on the concatenated byte span one batched pass materialises; larger
@@ -331,93 +376,34 @@ _BATCH_SPAN_BYTES = 8 << 20
 def _digest_group(blobs: List[bytes]) -> List[Optional[SdDigest]]:
     """One batched pass over blobs that all meet ``MIN_DIGEST_BYTES``.
 
-    The whole feature pipeline — anchor scan, window entropies, popularity
-    maxima, and the Bloom bit scatter — runs over the *concatenation* of
-    the batch, with per-file boundaries enforced by masking and by -inf
-    gaps, so every per-file result is bit-identical to :func:`sdhash`.
+    Selection runs over the concatenation (:func:`_select`); each blob's
+    features then chain, in order, into filters of ``MAX_FEATURES``, and
+    all filters of all blobs are scattered and packed together.  Every
+    result is the digest the blob gets alone.
     """
     F = len(blobs)
     out: List[Optional[SdDigest]] = [None] * F
-    lens = np.array([len(b) for b in blobs], dtype=np.int64)
-    offsets = np.zeros(F + 1, dtype=np.int64)
-    np.cumsum(lens, out=offsets[1:])
-    cat = np.frombuffer(b"".join(blobs), dtype=np.uint8)
-    starts = _anchor_starts(cat)
-    # drop anchors whose window would run past the concatenation before
-    # locating files: searchsorted on such a start can land out of range
-    starts = starts[starts + WINDOW <= offsets[-1]]
+    cat, starts, file_of = _select(blobs)
     if starts.size == 0:
         return out
-    file_of = np.searchsorted(offsets, starts, side="right") - 1
-    # an anchor only counts when its 8-byte context and 64-byte window both
-    # lie inside a single file — exactly the per-file anchor rule
-    ok = ((starts - 8 >= offsets[file_of])
-          & (starts + WINDOW <= offsets[file_of + 1]))
-    starts = starts[ok]
-    file_of = file_of[ok]
-    total = starts.size
-    if total == 0:
-        return out
-    windows = np.lib.stride_tricks.sliding_window_view(cat, WINDOW)[starts]
-    entropies = _window_entropies(windows)
-    # popularity maxima per file: lay every file's candidates on one line
-    # with a -inf gap of POPULARITY_SPAN between neighbouring files, so a
-    # sliding maximum never sees across a file boundary
-    span = POPULARITY_SPAN
-    counts_per_file = np.bincount(file_of, minlength=F)
-    first_index = np.zeros(F + 1, dtype=np.int64)
-    np.cumsum(counts_per_file, out=first_index[1:])
-    seg_starts = np.zeros(F, dtype=np.int64)
-    np.cumsum(counts_per_file[:-1] + span, out=seg_starts[1:])
-    seg_starts += span
-    pos = seg_starts[file_of] + (np.arange(total) - first_index[file_of])
-    padded = np.full(int(pos[-1]) + span + 1, -np.inf)
-    padded[pos] = entropies
-    # q[j] = max(padded[j:j+span]) via span-1 shifted maxima; max is
-    # order-insensitive, so this equals the neighbourhood max exactly
-    q = padded[:padded.size - (span - 1)].copy()
-    for shift in range(1, span):
-        np.maximum(q, padded[shift:padded.size - (span - 1) + shift], out=q)
-    # right_max in the per-file path includes the candidate itself, but
-    # e >= max(e, rest) reduces to e >= max(rest), so q[pos + 1] suffices
-    keep = ((entropies >= MIN_FEATURE_ENTROPY)
-            & (entropies > q[pos - span])
-            & (entropies >= q[pos + 1]))
-    sel = np.ascontiguousarray(windows[keep])
-    feat_counts = np.bincount(file_of[keep], minlength=F)
-    n_sel = sel.shape[0]
-    if n_sel == 0:
-        return out
-    sha1 = hashlib.sha1
-    raw = b"".join([sha1(w).digest() for w in sel])
-    hashes = np.frombuffer(raw, dtype=np.uint8).reshape(n_sel, 20)
-    positions = feature_positions(hashes)
-    bounds = np.zeros(F + 1, dtype=np.int64)
-    np.cumsum(feat_counts, out=bounds[1:])
-    # batched Bloom assembly: every filter of every file is one row of a
-    # single boolean matrix filled by one flat scatter
-    n_filters_per_file = (feat_counts + MAX_FEATURES - 1) // MAX_FEATURES
+    # feature j of blob f goes to filter filt_base[f] + (j - the blob's
+    # first feature) // MAX_FEATURES
+    per_blob = np.bincount(file_of, minlength=F)
     filt_base = np.zeros(F + 1, dtype=np.int64)
-    np.cumsum(n_filters_per_file, out=filt_base[1:])
-    local = np.arange(n_sel) - bounds[:-1].repeat(feat_counts)
-    filt_of_feature = (filt_base[:-1].repeat(feat_counts)
-                       + local // MAX_FEATURES)
-    nf = int(filt_base[-1])
-    bits = np.zeros((nf, FILTER_BITS), dtype=bool)
-    flat = (filt_of_feature[:, None] * FILTER_BITS + positions).reshape(-1)
-    bits.reshape(-1)[flat] = True
-    counts_per_filter = np.bincount(filt_of_feature, minlength=nf)
-    for k, blob in enumerate(blobs):
-        cnt = int(feat_counts[k])
-        if cnt < MIN_FEATURES:
-            continue
-        filters: List[BloomFilter] = []
-        for j in range(int(filt_base[k]), int(filt_base[k + 1])):
-            filt = BloomFilter.__new__(BloomFilter)
-            filt.bits = bits[j]
-            filt.count = int(counts_per_filter[j])
-            filters.append(filt)
-        out[k] = SdDigest(filters, cnt, len(blob))
+    np.cumsum((per_blob + MAX_FEATURES - 1) // MAX_FEATURES,
+              out=filt_base[1:])
+    first_feat = np.cumsum(per_blob) - per_blob
+    filt_of = filt_base[file_of] + ((np.arange(starts.size)
+                                     - first_feat[file_of]) // MAX_FEATURES)
+    feats, first_filt = per_blob.tolist(), filt_base.tolist()
+    packed, counts = _bloom_rows(
+        _feature_positions([cat[s:s + WINDOW] for s in starts.tolist()]),
+        filt_of, first_filt[-1])
+    for k, n in enumerate(feats):
+        if n >= MIN_FEATURES:
+            lo, hi = first_filt[k], first_filt[k + 1]
+            out[k] = SdDigest(packed[lo:hi], counts[lo:hi], n,
+                              len(blobs[k]))
     return out
 
 
@@ -479,8 +465,9 @@ class StreamingDigestState:
       ``span`` most recent decided entropies are carried as left context
       (``-inf`` initially and as final right padding — exactly the
       whole-buffer padding),
-    * filters: features emit in order, chaining a Bloom filter per
-      ``MAX_FEATURES`` exactly as :func:`sdhash` slices them.
+    * filters: features emit in order, and every ``MAX_FEATURES`` of them
+      are packed into one filter row, exactly as :func:`sdhash` chains
+      them.
 
     Streams smaller than ``min_stream_bytes`` stay in *buffered* mode —
     chunk refs only, no numpy work per write — and are replayed through
@@ -494,10 +481,10 @@ class StreamingDigestState:
     """
 
     __slots__ = ("total", "min_stream_bytes", "consumed", "chunks_consumed",
-                 "filters", "n_features",
+                 "n_features",
                  "_streamed", "_finalized", "_chunks", "_chunk_bytes",
                  "_tail", "_left", "_pend_ent", "_pend_win",
-                 "_pos_rows", "_pos_count", "_hasher")
+                 "_rows", "_counts", "_pos_rows", "_pos_count", "_hasher")
 
     def __init__(self, min_stream_bytes: int = 0) -> None:
         #: bytes received so far (both modes)
@@ -506,7 +493,6 @@ class StreamingDigestState:
         #: True once finalize() actually produced the digest incrementally
         self.consumed = False
         self.chunks_consumed = 0
-        self.filters: List[BloomFilter] = []
         self.n_features = 0
         self._streamed = 0
         self._finalized = False
@@ -515,7 +501,10 @@ class StreamingDigestState:
         self._tail = b""
         self._left = np.full(POPULARITY_SPAN, -np.inf)
         self._pend_ent = np.zeros(0, dtype=np.float64)
-        self._pend_win = np.zeros((0, WINDOW), dtype=np.uint8)
+        self._pend_win: List[bytes] = []
+        #: packed rows of the finished filters, and their feature counts
+        self._rows: List[np.ndarray] = []
+        self._counts: List[int] = []
         self._pos_rows: List[np.ndarray] = []
         self._pos_count = 0
         self._hasher = hashlib.blake2b(digest_size=16)
@@ -555,30 +544,23 @@ class StreamingDigestState:
         self._finalized = True
         self.consumed = True
         # decide the held-back candidates against -inf right padding,
-        # mirroring the whole-buffer padded sliding maximum exactly
-        n = self._pend_ent.size
-        if n:
-            span = POPULARITY_SPAN
-            full = np.concatenate([self._left, self._pend_ent,
-                                   np.full(span, -np.inf)])
-            neigh = np.lib.stride_tricks.sliding_window_view(
-                full, 2 * span + 1)
-            cand = self._pend_ent
-            keep = ((cand >= MIN_FEATURE_ENTROPY)
-                    & (cand > neigh[:, :span].max(axis=1))
-                    & (cand >= neigh[:, span:].max(axis=1)))
-            if keep.any():
-                self._emit(self._pend_win[keep])
+        # exactly the whole-buffer line's end
+        if self._pend_ent.size:
+            line = np.concatenate([self._left, self._pend_ent,
+                                   np.full(POPULARITY_SPAN, -np.inf)])
+            keep = np.flatnonzero(_popular(line)).tolist()
+            if keep:
+                self._emit([self._pend_win[i] for i in keep])
             self._pend_ent = np.zeros(0, dtype=np.float64)
-            self._pend_win = np.zeros((0, WINDOW), dtype=np.uint8)
+            self._pend_win = []
         if self.total < MIN_DIGEST_BYTES or self.n_features < MIN_FEATURES:
             return None
         if self._pos_count:
-            stacked = (self._pos_rows[0] if len(self._pos_rows) == 1
-                       else np.concatenate(self._pos_rows))
-            self.filters.append(BloomFilter.from_position_rows(stacked))
-            self._pos_rows, self._pos_count = [], 0
-        return SdDigest(list(self.filters), self.n_features, self.total)
+            self._pack(self._pos_count)
+        packed = (self._rows[0] if len(self._rows) == 1
+                  else np.concatenate(self._rows))
+        return SdDigest(packed, list(self._counts), self.n_features,
+                        self.total)
 
     # -- internal pipeline ---------------------------------------------
 
@@ -593,59 +575,67 @@ class StreamingDigestState:
         t_new = t_old + len(chunk)
         base = t_new - len(combined)
         buf = np.frombuffer(combined, dtype=np.uint8)
-        starts = _anchor_starts(buf)
+        starts = _anchor_positions(buf)
+        # new windows only: those whose end first fits this chunk
+        # (earlier ones were decided by the chunk that completed them)
+        starts = starts[starts + (base + WINDOW) > t_old]
         if starts.size:
-            # new windows only: those whose end first fits this chunk
-            # (earlier ones were emitted by the chunk that completed them)
-            keep = ((starts + WINDOW <= len(combined))
-                    & (starts + base + WINDOW > t_old))
-            starts = starts[keep]
-            if starts.size:
-                windows = np.lib.stride_tricks.sliding_window_view(
-                    buf, WINDOW)[starts]
-                self._advance(windows, _window_entropies(windows))
+            self._advance(combined, starts.tolist(),
+                          _window_entropies(_windows(buf, starts)))
         self._streamed = t_new
         self._tail = combined[max(0, len(combined) - _STREAM_TAIL):]
         self.chunks_consumed += 1
 
-    def _advance(self, windows: np.ndarray, ent: np.ndarray) -> None:
-        if self._pend_ent.size:
+    def _advance(self, combined: bytes, starts: List[int],
+                 ent: np.ndarray) -> None:
+        """Decide every candidate that has ``POPULARITY_SPAN`` right
+        neighbours; hold back the rest.  The candidates are the held-back
+        windows, then this chunk's windows at ``starts`` in ``combined``."""
+        held = self._pend_win
+        if held:
             ent = np.concatenate([self._pend_ent, ent])
-            windows = np.vstack([self._pend_win, windows])
-        span = POPULARITY_SPAN
-        decide = ent.size - span
-        if decide <= 0:
-            self._pend_ent = ent
-            self._pend_win = np.ascontiguousarray(windows)
-            return
-        full = np.concatenate([self._left, ent])
-        neigh = np.lib.stride_tricks.sliding_window_view(full, 2 * span + 1)
-        cand = ent[:decide]
-        keep = ((cand >= MIN_FEATURE_ENTROPY)
-                & (cand > neigh[:, :span].max(axis=1))
-                & (cand >= neigh[:, span:].max(axis=1)))
-        self._left = full[decide:decide + span].copy()
-        self._pend_ent = ent[decide:].copy()
-        self._pend_win = windows[decide:].copy()
-        if keep.any():
-            self._emit(windows[:decide][keep])
 
-    def _emit(self, windows: np.ndarray) -> None:
-        sha1 = hashlib.sha1
-        raw = b"".join([sha1(w).digest() for w in windows])
-        hashes = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 20)
-        positions = feature_positions(hashes)
+        def window(i: int) -> bytes:
+            if i < len(held):
+                return held[i]
+            start = starts[i - len(held)]
+            return combined[start:start + WINDOW]
+
+        decide = ent.size - POPULARITY_SPAN
+        if decide > 0:
+            line = np.concatenate([self._left, ent])
+            self._left = line[decide:decide + POPULARITY_SPAN].copy()
+            keep = np.flatnonzero(_popular(line)).tolist()
+            if keep:
+                self._emit([window(i) for i in keep])
+        lo = max(decide, 0)
+        self._pend_ent = ent[lo:].copy()
+        self._pend_win = [window(i) for i in range(lo, ent.size)]
+
+    def _emit(self, windows: List[bytes]) -> None:
+        positions = _feature_positions(windows)
         self._pos_rows.append(positions)
         self._pos_count += positions.shape[0]
         self.n_features += positions.shape[0]
-        while self._pos_count >= MAX_FEATURES:
-            stacked = (self._pos_rows[0] if len(self._pos_rows) == 1
-                       else np.concatenate(self._pos_rows))
-            self.filters.append(
-                BloomFilter.from_position_rows(stacked[:MAX_FEATURES]))
-            rest = stacked[MAX_FEATURES:]
-            self._pos_rows = [rest] if rest.shape[0] else []
-            self._pos_count = int(rest.shape[0])
+        if self._pos_count >= MAX_FEATURES:
+            self._pack(self._pos_count - self._pos_count % MAX_FEATURES)
+
+    def _pack(self, k: int) -> None:
+        """Pack the first ``k`` pending features into filter rows of
+        ``MAX_FEATURES`` each (the last may hold fewer)."""
+        stacked = (self._pos_rows[0] if len(self._pos_rows) == 1
+                   else np.concatenate(self._pos_rows))
+        packed, counts = _bloom_rows(stacked[:k],
+                                     np.arange(k) // MAX_FEATURES,
+                                     -(-k // MAX_FEATURES))
+        self._rows.append(packed)
+        self._counts.extend(counts)
+        rest = stacked[k:]
+        self._pos_rows = [rest] if rest.shape[0] else []
+        self._pos_count = int(rest.shape[0])
+
+
+# -- compare ------------------------------------------------------------------
 
 
 def _ordered(a: SdDigest, b: SdDigest) -> tuple:
@@ -667,26 +657,53 @@ def _ordered(a: SdDigest, b: SdDigest) -> tuple:
 def compare(a: Optional[SdDigest], b: Optional[SdDigest]) -> Optional[int]:
     """sdhash confidence score 0–100; None when either digest is missing.
 
-    All filter pairs are evaluated in one batched pass over the two
-    digests' packed bit-matrices; the arithmetic mirrors
-    :meth:`BloomFilter.similarity` operation for operation, so scores are
-    bit-identical to :func:`compare_scalar`.
+    The arithmetic mirrors :meth:`BloomFilter.similarity` operation for
+    operation, so scores are bit-identical to the scalar per-pair loop in
+    ``tests/reference.py`` and to :func:`compare_many`.
     """
     if a is None or b is None:
         return None
-    small, large = _ordered(a, b)
-    inter = packed_popcount(small.packed_matrix()[:, None, :]
-                            & large.packed_matrix()[None, :, :])
-    pa = small.popcounts()[:, None]
-    pb = large.popcounts()[None, :]
+    return _score_ints(*_ordered(a, b))
+
+
+def _score_ints(small: SdDigest, large: SdDigest) -> int:
+    """The score of one ordered pair with each filter a 2048-bit int and
+    its popcount ``int.bit_count`` — no numpy dispatch at all."""
+    words, pops = large._int_rows()
+    scores = []
+    for x, pa in zip(*small._int_rows()):
+        # the clip to [0, 1]: best starts at 0.0, and the overlap never
+        # exceeds max_overlap, so raw never exceeds 1
+        best = 0.0
+        for y, pb in zip(words, pops):
+            expected = pa * pb / FILTER_BITS
+            max_overlap = min(pa, pb)
+            if pa == 0 or pb == 0 or max_overlap <= expected:
+                continue
+            raw = ((x & y).bit_count() - expected) / (max_overlap - expected)
+            if raw > best:
+                best = raw
+        scores.append(best)
+    return int(round(100 * sum(scores) / len(scores)))
+
+
+def _score_stacked(pairs) -> List[int]:
+    """Scores of ordered ``(small, large)`` pairs that all share one
+    (filters, filters) shape, in one batched popcount pass."""
+    smalls = np.stack([s.packed_matrix() for s, _ in pairs])
+    larges = np.stack([l.packed_matrix() for _, l in pairs])
+    inter = packed_popcount(smalls[:, :, None, :] & larges[:, None, :, :])
+    pa = np.stack([s.popcounts() for s, _ in pairs])[:, :, None]
+    pb = np.stack([l.popcounts() for _, l in pairs])[:, None, :]
     expected = pa * pb / FILTER_BITS
     max_overlap = np.minimum(pa, pb)
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = (inter - expected) / (max_overlap - expected)
         sim = np.where((pa == 0) | (pb == 0) | (max_overlap <= expected),
                        0.0, np.clip(raw, 0.0, 1.0))
-    scores = sim.max(axis=1).tolist()
-    return int(round(100 * sum(scores) / len(scores)))
+    # the final mean is a sequential Python sum over each row's floats
+    return [int(round(100 * sum(scores) / len(scores)))
+            for scores in sim.max(axis=2).tolist()]
 
 
 def compare_many(pairs) -> List[Optional[int]]:
@@ -696,9 +713,7 @@ def compare_many(pairs) -> List[Optional[int]]:
     None, which yields None for that pair.  Pairs whose ordered digests
     share a (filters, filters) shape are stacked and scored in a single
     popcount pass — one numpy dispatch amortised over the whole group
-    instead of one per pair.  The per-pair arithmetic, including the final
-    sequential Python sum over filter scores, mirrors :func:`compare`
-    operation for operation.
+    instead of one per pair.
     """
     results: List[Optional[int]] = [None] * len(pairs)
     groups: dict = {}
@@ -709,37 +724,11 @@ def compare_many(pairs) -> List[Optional[int]]:
         groups.setdefault((len(small), len(large)), []).append(
             (p, small, large))
     for members in groups.values():
-        smalls = np.stack([s.packed_matrix() for _, s, _ in members])
-        larges = np.stack([l.packed_matrix() for _, _, l in members])
-        inter = packed_popcount(smalls[:, :, None, :]
-                                & larges[:, None, :, :])
-        pa = np.stack([s.popcounts() for _, s, _ in members])[:, :, None]
-        pb = np.stack([l.popcounts() for _, _, l in members])[:, None, :]
-        expected = pa * pb / FILTER_BITS
-        max_overlap = np.minimum(pa, pb)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw = (inter - expected) / (max_overlap - expected)
-            sim = np.where((pa == 0) | (pb == 0) | (max_overlap <= expected),
-                           0.0, np.clip(raw, 0.0, 1.0))
-        best = sim.max(axis=2)
-        for row, (p, _, _) in enumerate(members):
-            scores = best[row].tolist()
-            results[p] = int(round(100 * sum(scores) / len(scores)))
+        scores = _score_stacked([(small, large)
+                                 for _, small, large in members])
+        for (p, _, _), score in zip(members, scores):
+            results[p] = score
     return results
-
-
-def compare_scalar(a: Optional[SdDigest],
-                   b: Optional[SdDigest]) -> Optional[int]:
-    """Scalar reference comparison (per-pair ``BloomFilter.similarity``
-    loop) — for golden equivalence tests and ``make bench`` only."""
-    if a is None or b is None:
-        return None
-    small, large = _ordered(a, b)
-    scores = []
-    for filt in small.filters:
-        best = max(filt.similarity(other) for other in large.filters)
-        scores.append(best)
-    return int(round(100 * sum(scores) / len(scores)))
 
 
 def compare_bytes(x: bytes, y: bytes) -> Optional[int]:

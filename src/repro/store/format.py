@@ -49,7 +49,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..magic import FileType
-from ..simhash.bloom import FILTER_BITS, BloomFilter
+from ..simhash.bloom import FILTER_BITS, MAX_FEATURES
 from ..simhash.sdhash import SdDigest
 from ..simhash.ssdeep import CtphSignature
 
@@ -94,8 +94,8 @@ FLAG_HAS_CTPH = 4
 # n_filters, n_features, source_len
 _DIGEST_HEAD = struct.Struct("<HIQ")
 # per filter: count + packed bits
-_FILTER_BYTES = FILTER_BITS // 8
-_FILTER_HEAD = struct.Struct("<I")
+_FILTER_ROW = np.dtype([("count", "<u4"),
+                        ("bits", np.uint8, (FILTER_BITS // 8,))])
 
 _TYPE_TABLE_HEAD = struct.Struct("<II")  # payload length, payload CRC
 
@@ -210,34 +210,41 @@ def decode_type_table(buf, offset: int) -> List[FileType]:
 
 
 def encode_sddigest(digest: SdDigest) -> bytes:
-    parts = [_DIGEST_HEAD.pack(len(digest.filters), digest.n_features,
-                               digest.source_len)]
-    for filt in digest.filters:
-        parts.append(_FILTER_HEAD.pack(filt.count))
-        parts.append(filt.packed().tobytes())
-    return b"".join(parts)
+    rows = np.empty(len(digest), dtype=_FILTER_ROW)
+    rows["count"] = digest.counts
+    rows["bits"] = digest.packed_matrix()
+    return _DIGEST_HEAD.pack(len(digest), digest.n_features,
+                             digest.source_len) + rows.tobytes()
 
 
 def decode_sddigest(payload: bytes) -> SdDigest:
+    """The digest a payload encodes, its filter rows kept packed as the
+    digest's bit-matrix (a view of ``payload``)."""
+    if len(payload) < _DIGEST_HEAD.size:
+        raise StoreFormatError(
+            f"digest payload is {len(payload)} bytes, shorter than its "
+            f"{_DIGEST_HEAD.size}-byte head — corrupt record")
     n_filters, n_features, source_len = _DIGEST_HEAD.unpack_from(payload)
-    offset = _DIGEST_HEAD.size
-    stride = _FILTER_HEAD.size + _FILTER_BYTES
-    if len(payload) != _DIGEST_HEAD.size + n_filters * stride:
+    if n_filters == 0:
+        raise StoreFormatError("digest payload declares no filters — "
+                               "corrupt record")
+    if len(payload) != _DIGEST_HEAD.size + n_filters * _FILTER_ROW.itemsize:
         raise StoreFormatError(
             f"digest payload is {len(payload)} bytes but declares "
             f"{n_filters} filters — corrupt record")
-    filters = []
-    for _ in range(n_filters):
-        (count,) = _FILTER_HEAD.unpack_from(payload, offset)
-        offset += _FILTER_HEAD.size
-        packed = np.frombuffer(payload, dtype=np.uint8,
-                               count=_FILTER_BYTES, offset=offset)
-        offset += _FILTER_BYTES
-        filt = BloomFilter()
-        filt.bits = np.unpackbits(packed).astype(bool)[:FILTER_BITS]
-        filt.count = count
-        filters.append(filt)
-    return SdDigest(filters, n_features, source_len)
+    rows = np.frombuffer(payload, dtype=_FILTER_ROW,
+                         offset=_DIGEST_HEAD.size)
+    counts = rows["count"].tolist()
+    bad = [count for count in counts if not 1 <= count <= MAX_FEATURES]
+    if bad:
+        raise StoreFormatError(
+            f"digest filter counts include {bad[0]}, outside "
+            f"1..{MAX_FEATURES} — corrupt record")
+    if sum(counts) != n_features:
+        raise StoreFormatError(
+            f"digest filter counts sum to {sum(counts)} but the payload "
+            f"declares {n_features} features — corrupt record")
+    return SdDigest(rows["bits"], counts, n_features, source_len)
 
 
 # -- records ----------------------------------------------------------------

@@ -26,23 +26,40 @@ verdict, and are left out.
 :class:`ScalarAES` and the ``scalar_aes_*`` modes are the per-byte,
 list-based AES that :mod:`repro.crypto.aes` replaced with its NumPy block
 kernel; ``tests/test_crypto.py`` requires byte-identical output from both.
+
+:func:`sdhash_scalar` and :func:`compare_scalar` are the digest kernel
+read straight off its definition, sharing no stage with
+:mod:`repro.simhash.sdhash`: an int64 rolling-hash anchor scan, one
+256-bin histogram and one 1-D term sum per window, a per-candidate
+popularity loop, one ``BloomFilter.add`` per feature and one
+``BloomFilter.similarity`` per filter pair.  Only the constants come
+from the kernel.  ``tests/test_simhash_vectorised.py``,
+``tests/test_digest_batch.py`` and ``tests/test_streaming_digest.py``
+require bit-identical digests and scores from both.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
+from typing import List, Optional
+
+import numpy as np
 
 import repro.core.engine as engine_mod
 from repro.core.filestate import DigestCache, InspectionResult, TrackedFile
 from repro.crypto.aes import _INV_SBOX, _SBOX, AES, _gmul
 from repro.crypto.padding import pad, unpad
 from repro.magic import identify
-from repro.simhash import ctph, sdhash
+from repro.simhash import BloomFilter, SdDigest, ctph, sdhash
+from repro.simhash.sdhash import (ANCHOR_MASK, MIN_DIGEST_BYTES,
+                                  MIN_FEATURE_ENTROPY, MIN_FEATURES,
+                                  POPULARITY_SPAN, WINDOW)
 
-__all__ = ["EagerFileStateCache", "ScalarAES", "detection_output",
-           "eager_reference", "scalar_aes_cbc_decrypt",
-           "scalar_aes_cbc_encrypt", "scalar_aes_ctr_xor",
+__all__ = ["EagerFileStateCache", "ScalarAES", "compare_scalar",
+           "detection_output", "eager_reference", "scalar_aes_cbc_decrypt",
+           "scalar_aes_cbc_encrypt", "scalar_aes_ctr_xor", "sdhash_scalar",
            "verdict_checkpoint"]
 
 
@@ -358,3 +375,93 @@ def scalar_aes_ctr_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
         out.extend(a ^ b for a, b in zip(chunk, block))
         counter += 1
     return bytes(out)
+
+
+# -- scalar sdhash --------------------------------------------------------
+
+#: rolling-hash weights over the 8 bytes before a window
+_ANCHOR_WEIGHTS = (1, 3, 5, 7, 11, 13, 17, 19)
+
+#: ``c/64 * log2(c/64)`` for a byte count c of a window (0 for c = 0)
+_TERMS = np.zeros(WINDOW + 1, dtype=np.float64)
+_TERMS[1:] = ((np.arange(1, WINDOW + 1, dtype=np.float64) / WINDOW)
+              * np.log2(np.arange(1, WINDOW + 1, dtype=np.float64) / WINDOW))
+
+
+def _anchor_positions_scalar(buf: np.ndarray) -> np.ndarray:
+    """Window starts S with ``sum(w_k * buf[S-8+k]) & ANCHOR_MASK == 0``
+    whose window fits in ``buf``, summed in plain int64."""
+    n = buf.size
+    if n < WINDOW + 8:
+        return np.zeros(0, dtype=np.int64)
+    wide = buf.astype(np.int64)
+    rolling = sum(weight * wide[k:n - 7 + k]
+                  for k, weight in enumerate(_ANCHOR_WEIGHTS))
+    starts = np.flatnonzero((rolling & ANCHOR_MASK) == 0) + 8
+    return starts[starts + WINDOW <= n]
+
+
+def _window_entropy_scalar(window: np.ndarray) -> float:
+    """Shannon entropy of one 64-byte window: its 256-bin histogram's
+    terms summed as one 1-D array."""
+    return float(-_TERMS[np.bincount(window, minlength=256)].sum())
+
+
+def _select_features_scalar(data: bytes) -> List[bytes]:
+    """The selected 64-byte windows of ``data``, one candidate at a time:
+    entropy at least ``MIN_FEATURE_ENTROPY``, no lower than any neighbour
+    within ``POPULARITY_SPAN``, and strictly above every earlier one
+    (leftmost tie wins)."""
+    buf = np.frombuffer(bytes(data), dtype=np.uint8)
+    starts = _anchor_positions_scalar(buf)
+    entropies = [_window_entropy_scalar(buf[s:s + WINDOW]) for s in starts]
+    n = len(entropies)
+    features: List[bytes] = []
+    for idx in range(n):
+        if entropies[idx] < MIN_FEATURE_ENTROPY:
+            continue
+        lo = max(0, idx - POPULARITY_SPAN)
+        hi = min(n, idx + POPULARITY_SPAN + 1)
+        if entropies[idx] < max(entropies[lo:hi]):
+            continue
+        if any(e >= entropies[idx] for e in entropies[lo:idx]):
+            continue
+        start = int(starts[idx])
+        features.append(bytes(data[start:start + WINDOW]))
+    return features
+
+
+def sdhash_scalar(data: bytes) -> Optional[SdDigest]:
+    """Digest ``data`` one feature at a time: SHA-1 each selected window
+    and ``BloomFilter.add`` it, chaining a new filter when one is full."""
+    data = bytes(data)
+    if len(data) < MIN_DIGEST_BYTES:
+        return None
+    features = _select_features_scalar(data)
+    if len(features) < MIN_FEATURES:
+        return None
+    filters: List[BloomFilter] = [BloomFilter()]
+    for feature in features:
+        if filters[-1].full:
+            filters.append(BloomFilter())
+        filters[-1].add(hashlib.sha1(feature).digest())
+    return SdDigest(np.stack([filt.packed() for filt in filters]),
+                    [filt.count for filt in filters], len(features),
+                    len(data))
+
+
+def compare_scalar(a: Optional[SdDigest],
+                   b: Optional[SdDigest]) -> Optional[int]:
+    """Mean over the smaller digest's filters of each one's best
+    ``BloomFilter.similarity`` against the other digest, 0–100.
+
+    The smaller digest has fewer filters, then fewer features, then the
+    lower hexdigest, so the score does not depend on argument order."""
+    if a is None or b is None:
+        return None
+    small, large = sorted((a, b), key=lambda d: (len(d.filters),
+                                                 d.n_features,
+                                                 d.hexdigest()))
+    scores = [max(filt.similarity(other) for other in large.filters)
+              for filt in small.filters]
+    return int(round(100 * sum(scores) / len(scores)))

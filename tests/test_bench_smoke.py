@@ -34,10 +34,9 @@ from repro.ransomware.factory import working_cohort
 from repro.sandbox import (VirtualMachine, run_campaign,
                            run_campaign_parallel, store_for_config)
 from repro.sandbox.parallel import build_store_parallel
-from repro.simhash.sdhash import (compare, compare_scalar, digest_many,
-                                  sdhash, sdhash_scalar)
+from repro.simhash.sdhash import compare, digest_many, sdhash
 from repro.store import fsck_store
-from tests.reference import eager_reference
+from tests.reference import compare_scalar, eager_reference, sdhash_scalar
 
 pytestmark = pytest.mark.benchmarks
 

@@ -31,10 +31,10 @@ from repro.entropy import (WeightedEntropyMean, corrected_entropies_from_histogr
                            histograms_many)
 from repro.fs import DOCUMENTS, ProcessSuspended, TEMP, VirtualFileSystem
 from repro.simhash import compare, compare_many, digest_many, sdhash
-from repro.simhash.sdhash import MIN_DIGEST_BYTES, WINDOW, sdhash_scalar
+from repro.simhash.sdhash import MIN_DIGEST_BYTES, WINDOW
 
 from tests.reference import (detection_output, eager_reference,
-                             verdict_checkpoint)
+                             sdhash_scalar, verdict_checkpoint)
 
 KEY, NONCE = bytes(32), bytes(12)
 

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from repro.corpus.wordlists import paragraphs
 from repro.simhash.bloom import BloomFilter, feature_positions, packed_popcount
-from repro.simhash.sdhash import (SdDigest, _select_features,
-                                  _select_features_scalar, compare,
-                                  compare_scalar, sdhash, sdhash_scalar)
+from repro.simhash.sdhash import SdDigest, _select_features, compare, sdhash
+from tests.reference import (_select_features_scalar, compare_scalar,
+                             sdhash_scalar)
 
 
 def _corpus():

@@ -29,12 +29,11 @@ from repro.ransomware import instantiate, working_cohort
 from repro.sandbox import run_sample
 from repro.simhash import sdhash
 from repro.simhash.sdhash import (MIN_DIGEST_BYTES, WINDOW,
-                                  StreamingDigestState, _STREAM_TAIL,
-                                  sdhash_scalar)
+                                  StreamingDigestState, _STREAM_TAIL)
 from repro.telemetry import StreamDigestFinalized, event_from_dict
 
 from tests.reference import (detection_output, eager_reference,
-                             verdict_checkpoint)
+                             sdhash_scalar, verdict_checkpoint)
 
 KEY, NONCE = bytes(32), bytes(12)
 

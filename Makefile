@@ -21,10 +21,10 @@ test:
 unit:
 	$(PYTEST) -m "not chaos"
 
-# fault-injection + crash-resilience suite only
+# every chaos-marked test (fault injection, crash resilience, and the
+# streamed-vs-eager identity under injected faults) — `unit` skips them
 chaos:
-	$(PYTEST) -m chaos tests/test_chaos.py tests/test_faults.py \
-		tests/test_ingest.py
+	$(PYTEST) -m chaos tests/
 
 # the A/B speed gates, then the pytest-benchmark microbenches of the
 # hot paths (see docs/performance.md)

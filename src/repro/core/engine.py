@@ -85,13 +85,17 @@ class AnalysisEngine(FilterDriver):
                                     telemetry=telemetry,
                                     pending_bytes_cap=self.config.scheduler_pending_bytes_cap)
         #: the cache's deferred-digest scheduler: pending captures
-        #: materialise through digest_many in one flush
+        #: materialise through digest_many when a comparison reads one,
+        #: or when a checkpoint, shutdown or the pending-bytes cap drains
+        #: them
         self.scheduler = self.cache.scheduler
         #: incremental close-path digests: append-only write streams feed
-        #: a per-handle StreamingDigestState so finalising at close is
-        #: O(tail) instead of O(file).  sdhash-only (the ctph backend has
-        #: no incremental kernel); any non-append access falls back to the
-        #: whole-content path, counted per reason in stream_fallbacks.
+        #: a per-handle StreamingDigestState, which keeps the content key
+        #: running and — for a handle whose close will compare — builds
+        #: the digest so finalising at close is O(tail) instead of
+        #: O(file).  sdhash-only (the ctph backend has no incremental
+        #: kernel); any non-append access falls back to the whole-content
+        #: path, counted per reason in stream_fallbacks.
         self._stream_writes = (self.config.enable_similarity
                                and self.config.similarity_backend == "sdhash")
         #: handle_id → (node_id, StreamingDigestState)
@@ -308,6 +312,11 @@ class AnalysisEngine(FilterDriver):
         node's sole writer and every write lands at the current end.
         Anything else drops the stream — close then takes the
         whole-content path, so correctness never depends on the pattern.
+
+        Only a handle whose close will compare (:meth:`_compares`) runs
+        the digest pipeline, from ``stream_digest_min_bytes`` on; any
+        other keeps just the running key and byte count, since nothing
+        reads its digest at close.
         """
         node_id, handle_id = op.node_id, op.handle_id
         if node_id is None or handle_id is None:
@@ -322,7 +331,8 @@ class AnalysisEngine(FilterDriver):
                     or len(op.data) > self.config.max_inspect_bytes):
                 return
             state = StreamingDigestState(
-                self.config.stream_digest_min_bytes)
+                self.config.stream_digest_min_bytes
+                if self._compares(self.cache.get(node_id)) else None)
             state.update(op.data)
             self._streams[handle_id] = (node_id, state)
             self._stream_nodes[node_id] = handle_id
@@ -398,17 +408,23 @@ class AnalysisEngine(FilterDriver):
                 record = self.cache.track_new(op.node_id, op.path)
             else:
                 return
+        key = None
         if stream is not None:
-            if not stream.streaming:
-                # buffered refs only — the stream never did numpy work,
-                # so the whole-content path costs the same (not a fallback)
-                stream = None
-            elif stream.total != len(content):
+            if stream.total == len(content):
+                # the running key covers exactly the closed bytes, so the
+                # close never hashes them again
+                key = stream.key()
+                if not stream.streaming:
+                    # key-only or buffered: no numpy work to finish, the
+                    # whole-content path costs the same (not a fallback)
+                    stream = None
+            else:
                 # the file holds bytes this stream never saw (pre-existing
                 # longer content, out-of-band writes): fall back
-                self._count_stream_fallback("length_mismatch")
+                if stream.streaming:
+                    self._count_stream_fallback("length_mismatch")
                 stream = None
-        self._inspect_version(op, record, content, stream=stream)
+        self._inspect_version(op, record, content, stream=stream, key=key)
 
     def _on_rename(self, op: FsOperation) -> None:
         lat = self.config.latency
@@ -461,24 +477,33 @@ class AnalysisEngine(FilterDriver):
     # inspection and scoring
     # ------------------------------------------------------------------
 
+    def _compares(self, record: Optional[TrackedFile]) -> bool:
+        """Whether a close of ``record``'s node compares the new version's
+        digest with a baseline: similarity is on and the record holds a
+        captured previous version (it was not born empty).  Decides both
+        which write handles stream and which closes digest."""
+        return (record is not None and record.has_baseline
+                and not record.born_empty and self.config.enable_similarity)
+
     def _inspect_version(self, op: FsOperation, record: TrackedFile,
-                         content: bytes, stream=None) -> None:
+                         content: bytes, stream=None, key=None) -> None:
         """Close/link-time comparison of the new version to the baseline.
 
         The single-digest close path: ``cache.inspect`` types and digests
         the content exactly once (through the corpus BaselineStore and
         the digest LRU), and that one :class:`InspectionResult` feeds both
-        the similarity comparison and the baseline refresh below.  The
-        digest is requested only when this close will actually compare
-        against a digestable baseline; otherwise the new version's digest
-        is deferred until something consumes it — except when a validated
-        ``stream`` is in hand: finalising it now costs O(tail), so
+        the similarity comparison and the baseline refresh below.  A
+        comparison materialises only its own baseline, and the new
+        version's digest is requested only when this close will compare
+        against a digestable baseline; otherwise it is deferred until
+        something consumes it — except when a ``stream`` that did
+        numpy work is in hand: finalising it now costs O(tail), so
         deferring (and later re-reading the whole file) would only waste
-        the incremental work.
+        the incremental work.  ``key`` is the content key a write stream
+        kept running, so the close never hashes the content again.
         """
         state = self._state(op.pid)
-        comparing = (record.has_baseline and not record.born_empty
-                     and self.config.enable_similarity)
+        comparing = self._compares(record)
         if comparing:
             # the baseline side must exist before we can know whether the
             # new version's digest will be consumed
@@ -488,7 +513,7 @@ class AnalysisEngine(FilterDriver):
                            and (record.base_digest is not None
                                 or record.base_ctph is not None)))
         inspection = self.cache.inspect(content, want_digest=want_digest,
-                                        stream=stream)
+                                        key=key, stream=stream)
         if stream is not None and stream.consumed:
             self.streams_finalized += 1
             self.bytes_streamed += len(content)
@@ -505,7 +530,7 @@ class AnalysisEngine(FilterDriver):
             state.funnel.on_write_type(new_type.name)
         if record.has_baseline and not record.born_empty:
             score = None
-            if self.config.enable_similarity:
+            if comparing:
                 score = similarity_score(record, content,
                                          self.config.similarity_backend,
                                          inspection=inspection)

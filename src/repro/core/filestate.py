@@ -244,9 +244,9 @@ class FileStateCache:
             # surface mmap-backend page-ins on this engine's session
             # (dict storage has nothing to observe — no-op bind)
             baseline_store.bind_telemetry(telemetry)
-        #: captures keep their bytes and enqueue here; the first
-        #: comparison that needs a digest materialises the whole pending
-        #: set as one batch
+        #: captures keep their bytes and enqueue here; a comparison
+        #: materialises only the baseline it reads, and checkpoints,
+        #: shutdown and the pending-bytes cap drain the rest in batches
         self.scheduler = InspectionScheduler(self, pending_bytes_cap)
         self._by_node: Dict[int, TrackedFile] = {}
 
@@ -271,22 +271,20 @@ class FileStateCache:
         inspection.  With ``want_digest=False`` a live inspection defers
         the digest: the result is type-and-size only, flagged
         ``deferred``, and never cached — callers retain the bytes and
-        enqueue them on the scheduler, carrying the capture-time ``key``
-        so the content is hashed once.
+        enqueue them on the scheduler, carrying the content ``key`` so
+        the content is hashed once.  ``key``, when given, is the content
+        key the caller already holds (a write stream's running hash).
 
         ``stream`` is an in-flight
         :class:`~repro.simhash.sdhash.StreamingDigestState` whose bytes
         the caller has validated to equal ``content`` (sdhash backend
-        only).  It supplies the cache key from its running hasher and,
-        on the live path, the digest via an O(tail) ``finalize()`` —
-        bit-identical to ``sdhash(content)``, without re-reading the
-        content.  LRU/store hits still win (the stream is then simply
-        discarded, unfinalized).
+        only).  On the live path it supplies the digest via an O(tail)
+        ``finalize()`` — bit-identical to ``sdhash(content)``, without
+        re-reading the content.  LRU/store hits still win (the stream
+        is then simply discarded, unfinalized).
         """
         if not isinstance(content, bytes):
             content = bytes(content)
-        if key is None and stream is not None:
-            key = stream.key()
         found, key = self.lookup(content, key)
         if found is not None:
             return found
@@ -411,14 +409,17 @@ class FileStateCache:
         record.has_baseline = True
 
     def materialise_baseline(self, record: TrackedFile) -> None:
-        """Digest a deferred baseline now (first comparison needs it).
+        """Digest a deferred baseline now (a comparison needs it).
 
-        The demand flushes the *whole* pending set through the batched
-        kernel, so every deferred capture the comparison did not ask for
-        rides along in the same dispatch.
+        Only this record drains, through the scheduler's flush — the
+        same lookup, live digest and counters as any other
+        materialisation.  Records pending for other nodes stay pending:
+        a comparison reads one baseline, and digesting the rest now
+        would only move their cost into this close (or spend it on
+        digests nothing ever compares).
         """
         if record.pending_content is not None:
-            self.scheduler.flush()
+            self.scheduler.flush([record])
 
     def refresh_baseline(self, node_id: int, path: WinPath, content: bytes,
                          inspection: Optional[InspectionResult] = None

@@ -3,9 +3,12 @@
 Baseline captures keep their bytes and postpone the similarity digest
 until a comparison first needs it (:class:`~repro.core.filestate.FileStateCache`
 marks these records via ``pending_content``).  :class:`InspectionScheduler`
-collects the pending set and materialises all of it through the batched
-:func:`~repro.simhash.sdhash.digest_many` kernel the moment any one digest
-is demanded — one numpy dispatch per flush instead of one per file.
+collects the pending set and materialises it through the batched
+:func:`~repro.simhash.sdhash.digest_many` kernel: a comparison drains
+only the record it reads, the pending-bytes cap drains the oldest
+records until the set fits again, and a checkpoint, shutdown or explicit
+``flush_inspections`` drains everything — one numpy dispatch per flush
+instead of one per file.
 
 A flush is always synchronous and always runs *before* the demanding
 consumer proceeds (comparison, checkpoint, explicit
@@ -33,13 +36,15 @@ __all__ = ["InspectionScheduler"]
 
 
 class InspectionScheduler:
-    """Collects deferred-digest records and flushes them as one batch.
+    """Collects deferred-digest records and flushes them in batches.
 
     Owned by a :class:`~repro.core.filestate.FileStateCache`, which
     enqueues a record whenever a capture defers its digest and calls
-    :meth:`flush` from ``materialise_baseline``.  Keyed by node id: a
-    record replaced under the same node (re-capture) overwrites its slot,
-    and the cache discards the slot of a record it drops or replaces
+    :meth:`flush` with just the record a comparison reads from
+    ``materialise_baseline``, and with no argument (the whole set) from
+    checkpoints.  Keyed by node id, oldest capture first: a record
+    replaced under the same node (re-capture) takes a fresh slot at the
+    end, and the cache discards the slot of a record it drops or replaces
     (delete, rename clobber, rename linking), so orphaned pending bytes
     are never digested.
     """
@@ -57,9 +62,10 @@ class InspectionScheduler:
         #: node replace their slot, so the tally is a replace, not an add
         self._pending_sizes: Dict[int, int] = {}
         self.pending_bytes = 0
-        #: watermark: a non-zero cap force-flushes the whole pending set
-        #: the moment its retained ``pending_content`` bytes exceed it,
-        #: bounding deferred-digest memory on long-lived monitors
+        #: watermark: a non-zero cap force-flushes the oldest pending
+        #: records the moment retained ``pending_content`` bytes exceed
+        #: it, until they fit again — bounding deferred-digest memory on
+        #: long-lived monitors without digesting the whole set in one op
         self.pending_bytes_cap = max(0, int(pending_bytes_cap))
         self.forced_flushes = 0
         self.flushes = 0
@@ -75,17 +81,31 @@ class InspectionScheduler:
     def enqueue(self, record) -> None:
         """Register a record whose capture deferred its digest."""
         node_id = record.node_id
-        old = self._pending_sizes.get(node_id)
+        # a re-capture leaves its old slot, so the set stays oldest first
+        self._pending.pop(node_id, None)
+        old = self._pending_sizes.pop(node_id, 0)
         size = len(record.pending_content or b"")
         self._pending[node_id] = record
         self._pending_sizes[node_id] = size
-        self.pending_bytes += size - (old or 0)
+        self.pending_bytes += size - old
         if self.telemetry is not None:
             self.telemetry.scheduler_pending_bytes.set(self.pending_bytes)
         if self.pending_bytes_cap and \
                 self.pending_bytes > self.pending_bytes_cap:
             self.forced_flushes += 1
-            self.flush()
+            self.flush(self._oldest_over_cap())
+
+    def _oldest_over_cap(self) -> list:
+        """The oldest pending records whose draining brings
+        ``pending_bytes`` back to the cap."""
+        excess = self.pending_bytes - self.pending_bytes_cap
+        records = []
+        for node_id, record in self._pending.items():
+            if excess <= 0:
+                break
+            records.append(record)
+            excess -= self._pending_sizes[node_id]
+        return records
 
     def discard(self, node_id: Optional[int]) -> None:
         """Forget a pending record (deleted / clobbered nodes)."""
@@ -118,23 +138,32 @@ class InspectionScheduler:
         self.closes += 1
         return self.flush()
 
-    def flush(self) -> int:
-        """Materialise every pending digest now; returns records drained.
+    def flush(self, records=None) -> int:
+        """Materialise pending digests now; returns records drained.
 
+        ``records`` are the pending records to drain (a comparison's one
+        baseline, the cap's oldest); the default drains the whole set.
         Records resolve through ``FileStateCache.lookup`` — LRU, then
         corpus store — like ``FileStateCache.inspect``, but the live
         remainder goes through :func:`digest_many` in one batch.  The
         cached inspection reuses the record's capture-time file type and
         content key, both pure functions of the same bytes.
         """
-        if not self._pending:
+        if records is None:
+            pending = list(self._pending.values())
+            self._pending.clear()
+            self._pending_sizes.clear()
+            self.pending_bytes = 0
+        else:
+            pending = records
+            for record in pending:
+                self._pending.pop(record.node_id, None)
+                self.pending_bytes -= self._pending_sizes.pop(
+                    record.node_id, 0)
+        if not pending:
             return 0
-        pending = list(self._pending.values())
-        self._pending.clear()
-        self._pending_sizes.clear()
-        self.pending_bytes = 0
         if self.telemetry is not None:
-            self.telemetry.scheduler_pending_bytes.set(0)
+            self.telemetry.scheduler_pending_bytes.set(self.pending_bytes)
         cache = self.cache
         live_records = []
         live_contents = []

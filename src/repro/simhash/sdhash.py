@@ -216,13 +216,6 @@ def _anchor_positions(buf: np.ndarray) -> np.ndarray:
     return starts[starts + WINDOW <= len(buf)]
 
 
-def _windows(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The windows of ``buf`` at ``starts`` as an ``(n, WINDOW)`` array."""
-    every = np.lib.stride_tricks.as_strided(
-        buf, (buf.size - WINDOW + 1, WINDOW), (1, 1), writeable=False)
-    return every[starts]
-
-
 # -- stage 2: window entropies ------------------------------------------------
 
 #: term table for window entropies: _ENTROPY_TERMS[c] equals the
@@ -241,22 +234,37 @@ del _counts
 #: the L1/L2 caches and every temporary under the allocator's mmap
 #: threshold; rows are independent, so blocking cannot change a result.
 _ENTROPY_BLOCK = 128
+#: windows copied out of the buffer per gather (128 KiB of rows): enough
+#: blocks to amortise the gather's call overhead, few enough that the
+#: copy never grows with the input
+_GATHER_ROWS = 16 * _ENTROPY_BLOCK
 
 
-def _window_entropies(windows: np.ndarray) -> np.ndarray:
-    """Shannon entropy of each row of an ``(n, WINDOW)`` uint8 array."""
-    n = windows.shape[0]
+def _window_entropies(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Shannon entropy of the ``WINDOW`` bytes of ``buf`` at each start.
+
+    Rows are gathered from ``buf`` through a strided view
+    ``_GATHER_ROWS`` at a time, so the windows are never copied out all
+    at once: transient memory stays bounded, not ``WINDOW`` bytes per
+    anchor.
+    """
+    n = starts.size
     out = np.empty(n, dtype=np.float64)
     if n == 0:
         return out
+    every = np.lib.stride_tricks.as_strided(
+        buf, (buf.size - WINDOW + 1, WINDOW), (1, 1), writeable=False)
     block = min(n, _ENTROPY_BLOCK)
     base = np.repeat(np.arange(block, dtype=np.int64), WINDOW) * 256
     idx = np.empty(block * WINDOW, dtype=np.int64)
     terms = np.empty((block, 256), dtype=np.float64)
     for lo in range(0, n, block):
+        if lo % _GATHER_ROWS == 0:
+            rows = every[starts[lo:lo + _GATHER_ROWS]].reshape(-1)
         hi = min(n, lo + block)
         k = hi - lo
-        np.add(base[:k * WINDOW], windows[lo:hi].reshape(-1),
+        at = (lo % _GATHER_ROWS) * WINDOW
+        np.add(base[:k * WINDOW], rows[at:at + k * WINDOW],
                out=idx[:k * WINDOW])
         counts = np.bincount(idx[:k * WINDOW],
                              minlength=k * 256).reshape(k, 256)
@@ -321,7 +329,7 @@ def _select(blobs: List[bytes]) -> Tuple[bytes, np.ndarray, np.ndarray]:
     # candidate i of blob f sits at line[span:-span][i + span * f]: a gap
     # of span -inf values between neighbouring blobs
     slot = np.arange(starts.size) + span * file_of
-    line[span:-span][slot] = _window_entropies(_windows(buf, starts))
+    line[span:-span][slot] = _window_entropies(buf, starts)
     keep = _popular(line)[slot]
     return cat, starts[keep], file_of[keep]
 
@@ -368,9 +376,10 @@ def sdhash(data: bytes) -> Optional[SdDigest]:
 
 
 #: cap on the concatenated byte span one batched pass materialises; larger
-#: batches are split into groups so the gathered windows, entropies, and
-#: Bloom scatters stay within a bounded memory footprint at corpus scale
-_BATCH_SPAN_BYTES = 8 << 20
+#: batches are split into groups so the anchor offsets, entropies and
+#: Bloom scatters (each a few bytes per input byte) stay within a bounded
+#: memory footprint at corpus scale
+_BATCH_SPAN_BYTES = 4 << 20
 
 
 def _digest_group(blobs: List[bytes]) -> List[Optional[SdDigest]]:
@@ -469,35 +478,45 @@ class StreamingDigestState:
       are packed into one filter row, exactly as :func:`sdhash` chains
       them.
 
-    Streams smaller than ``min_stream_bytes`` stay in *buffered* mode —
-    chunk refs only, no numpy work per write — and are replayed through
-    the streaming pipeline the moment the threshold is crossed (or at
-    :meth:`finalize`).  Memory is O(1) in stream length either way once
-    streaming: a 71-byte tail, ≤ ``span`` pending windows, <160 pending
-    feature positions, plus the finished filters (256 B / 160 features).
+    ``min_stream_bytes`` sets how much work a write does:
+
+    * ``0`` streams from the first byte;
+    * a positive threshold keeps the stream *buffered* — chunk refs only,
+      no numpy work per write — until the threshold is crossed (or
+      :meth:`finalize` is called), then replays it through the pipeline;
+    * ``None`` keeps only the running key and byte count — no chunk refs,
+      no numpy work — for a writer whose digest no close will read; such
+      a state cannot :meth:`finalize`.
+
+    Memory is O(1) in stream length once streaming: a 71-byte tail,
+    ≤ ``span`` pending windows, <160 pending feature positions, plus the
+    finished filters (256 B / 160 features).
 
     A running ``blake2b-16`` mirrors :class:`~repro.core.filestate.DigestCache`
-    keys so the close path gets its cache key in O(1) too.
+    keys in every mode, so the close path gets its cache key in O(1) and
+    never hashes the written bytes a second time.
     """
 
-    __slots__ = ("total", "min_stream_bytes", "consumed", "chunks_consumed",
-                 "n_features",
-                 "_streamed", "_finalized", "_chunks", "_chunk_bytes",
+    __slots__ = ("total", "min_stream_bytes", "streaming", "consumed",
+                 "chunks_consumed", "n_features",
+                 "_streamed", "_finalized", "_chunks",
                  "_tail", "_left", "_pend_ent", "_pend_win",
                  "_rows", "_counts", "_pos_rows", "_pos_count", "_hasher")
 
-    def __init__(self, min_stream_bytes: int = 0) -> None:
-        #: bytes received so far (both modes)
+    def __init__(self, min_stream_bytes: Optional[int] = 0) -> None:
+        #: bytes received so far (every mode)
         self.total = 0
         self.min_stream_bytes = min_stream_bytes
+        #: True once numpy work happens per chunk
+        self.streaming = min_stream_bytes == 0
         #: True once finalize() actually produced the digest incrementally
         self.consumed = False
         self.chunks_consumed = 0
         self.n_features = 0
         self._streamed = 0
         self._finalized = False
+        #: chunk refs while buffered; None when streaming or key-only
         self._chunks: Optional[List[bytes]] = [] if min_stream_bytes else None
-        self._chunk_bytes = 0
         self._tail = b""
         self._left = np.full(POPULARITY_SPAN, -np.inf)
         self._pend_ent = np.zeros(0, dtype=np.float64)
@@ -509,11 +528,6 @@ class StreamingDigestState:
         self._pos_count = 0
         self._hasher = hashlib.blake2b(digest_size=16)
 
-    @property
-    def streaming(self) -> bool:
-        """True once past buffered mode (numpy work happens per chunk)."""
-        return self._chunks is None
-
     def update(self, chunk) -> None:
         """Consume the next appended chunk (must be the bytes written at
         offset ``self.total`` — the caller enforces sequentiality)."""
@@ -522,13 +536,12 @@ class StreamingDigestState:
             return
         self._hasher.update(chunk)
         self.total += len(chunk)
-        if self._chunks is not None:
+        if self.streaming:
+            self._consume(chunk)
+        elif self._chunks is not None:
             self._chunks.append(chunk)
-            self._chunk_bytes += len(chunk)
-            if self._chunk_bytes >= self.min_stream_bytes:
+            if self.total >= self.min_stream_bytes:
                 self._begin_streaming()
-            return
-        self._consume(chunk)
 
     def key(self) -> bytes:
         """The :class:`DigestCache` key of the bytes seen so far."""
@@ -539,7 +552,10 @@ class StreamingDigestState:
         ``sdhash`` returns None).  O(tail); callable once."""
         if self._finalized:
             raise RuntimeError("StreamingDigestState already finalized")
-        if self._chunks is not None:
+        if self.min_stream_bytes is None:
+            raise RuntimeError("a key-only StreamingDigestState has no "
+                               "digest to finalize")
+        if not self.streaming:
             self._begin_streaming()
         self._finalized = True
         self.consumed = True
@@ -565,7 +581,8 @@ class StreamingDigestState:
     # -- internal pipeline ---------------------------------------------
 
     def _begin_streaming(self) -> None:
-        chunks, self._chunks, self._chunk_bytes = self._chunks, None, 0
+        chunks, self._chunks = self._chunks, None
+        self.streaming = True
         for chunk in chunks:
             self._consume(chunk)
 
@@ -581,7 +598,7 @@ class StreamingDigestState:
         starts = starts[starts + (base + WINDOW) > t_old]
         if starts.size:
             self._advance(combined, starts.tolist(),
-                          _window_entropies(_windows(buf, starts)))
+                          _window_entropies(buf, starts))
         self._streamed = t_new
         self._tail = combined[max(0, len(combined) - _STREAM_TAIL):]
         self.chunks_consumed += 1

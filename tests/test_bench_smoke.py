@@ -263,11 +263,12 @@ def telemetry_overhead():
 
 @pytest.fixture(scope="module")
 def streaming_digest():
-    """An 8 MiB file written in 256 KiB chunks and closed, front to back
-    (an append-only stream) and back to front (seek, then write: no
-    stream spans the file).  Each leg times the close plus the
-    scheduler flush, with the digest LRU off (the legs write identical
-    bytes) and the inspect cap above the file size."""
+    """An 8 MiB file written in 256 KiB chunks over a planted document
+    through a truncating open and closed, front to back (an append-only
+    stream) and back to front (seek, then write: no stream spans the
+    file).  Each leg times the close plus the scheduler flush, with the
+    digest LRU off (the legs write identical bytes) and the inspect cap
+    above the file size."""
     file_bytes, chunk_bytes = 8 << 20, 256 * 1024
     n_chunks = file_bytes // chunk_bytes
     chunk = _text(41, chunk_bytes)
@@ -280,7 +281,8 @@ def streaming_digest():
         monitor = CryptoDropMonitor(vfs, config).attach()
         pid = vfs.processes.spawn("writer.exe").pid
         path = DOCUMENTS / "archive.dat"
-        handle = vfs.open(pid, path, "w", create=True)
+        vfs.peek_write(path, _text(42, 16 * 1024))
+        handle = vfs.open(pid, path, "w", truncate=True)
         order = (range(n_chunks) if streaming
                  else range(n_chunks - 1, -1, -1))
         for index in order:

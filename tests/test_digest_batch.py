@@ -16,6 +16,7 @@
 """
 
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -108,6 +109,46 @@ class TestDigestMany:
                     assert got is None
                 else:
                     assert got.hexdigest() == ref.hexdigest()
+
+
+class TestKernelMemory:
+    """The kernel's transient memory stays a small multiple of its input:
+    window rows are gathered one block at a time and a batch pass spans
+    at most ``_BATCH_SPAN_BYTES``."""
+
+    @staticmethod
+    def _text(seed, size):
+        rng = random.Random(seed)
+        pool = [_text(seed * 1000 + i, 4000) for i in range(32)]
+        parts, total = [], 0
+        while total < size:
+            parts.append(rng.choice(pool))
+            total += len(parts[-1])
+        return b"".join(parts)[:size]
+
+    @staticmethod
+    def _peak(fn, arg):
+        """Peak bytes traced while ``fn(arg)`` runs, above what was
+        already allocated."""
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fn(arg)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    def test_sdhash_peak_under_four_times_its_input(self):
+        content = self._text(1, 4 << 20)
+        assert self._peak(sdhash, content) < 4 * len(content)
+
+    def test_digest_many_peak_under_24_mib_for_8_mib(self):
+        blobs = [self._text(2 + i, 2 << 20) for i in range(4)]
+        assert self._peak(digest_many, blobs) < 24 << 20
 
 
 class TestCompareMany:
@@ -289,6 +330,63 @@ class TestSchedulerMechanics:
         assert gauge[0][1] == 0.0
         # nothing orphaned is left for the next flush to resolve
         assert monitor.flush_inspections() == 0
+
+    def test_comparison_materialises_only_its_own_baseline(self, env):
+        vfs, monitor, pid = env()
+        scheduler = monitor.engine.scheduler
+        # a new file's close defers its digest: nothing compares it
+        content = _text(80, 9000)
+        fresh = DOCUMENTS / "fresh.txt"
+        handle = vfs.open(pid, fresh, "w", create=True)
+        vfs.write(pid, handle, content)
+        vfs.close(pid, handle)
+        record = monitor.engine.cache.get(vfs.peek_stat(fresh).node_id)
+        assert record.pending_content == content
+        pending, pending_bytes = len(scheduler), scheduler.pending_bytes
+        # rewriting a document compares: its baseline alone drains
+        _encrypt_in_place(vfs, pid, DOCUMENTS / "doc5.txt")
+        assert scheduler.materialised == 1
+        assert record.pending_content == content and record.base_digest is None
+        assert len(scheduler) == pending
+        assert scheduler.pending_bytes == pending_bytes
+        # a later flush digests it
+        assert monitor.flush_inspections() == 1
+        assert record.base_digest.hexdigest() == sdhash(content).hexdigest()
+
+    def test_cap_drains_only_the_oldest_until_under_it(self, env,
+                                                       monkeypatch):
+        import repro.core.schedule as schedule
+        batches = []
+        real_many = schedule.digest_many
+
+        def recording_many(contents):
+            batches.append(list(contents))
+            return real_many(contents)
+
+        monkeypatch.setattr(schedule, "digest_many", recording_many)
+        size = 20_000
+        files = [_text(90 + i, size)[:size] for i in range(6)]
+        # new files below stream_digest_min_bytes: each close defers
+        vfs, monitor, pid = env(scheduler_pending_bytes_cap=3 * size)
+        scheduler = monitor.engine.scheduler
+        for i, content in enumerate(files):
+            before = len(batches)
+            handle = vfs.open(pid, DOCUMENTS / f"new{i}.txt", "w",
+                              create=True)
+            for offset in range(0, size, 4096):
+                vfs.write(pid, handle, content[offset:offset + 4096])
+            vfs.close(pid, handle)
+            digested = [blob for batch in batches[before:] for blob in batch]
+            # from the fourth file on, each close drains the oldest one
+            assert digested == (files[i - 3:i - 2] if i >= 3 else [])
+            assert scheduler.pending_bytes <= scheduler.pending_bytes_cap
+        assert scheduler.forced_flushes == 3
+        monitor.flush_inspections()
+        for i, content in enumerate(files):
+            record = monitor.engine.cache.get(
+                vfs.peek_stat(DOCUMENTS / f"new{i}.txt").node_id)
+            assert record.base_digest.hexdigest() == \
+                sdhash(content).hexdigest()
 
     def test_restore_clears_pending(self, env):
         vfs, monitor, pid = env()

@@ -265,10 +265,13 @@ class TestEngineSnapshot:
             vfs.seek(pid, handle, 0)
             vfs.write(pid, handle, data)
             vfs.close(pid, handle)
-        # append-only export: a finalized stream; its copy hits the LRU
+        # append-only rewrite of a planted log: a finalized stream; its
+        # copy hits the LRU
         content = paragraphs(random.Random(5), 20_000).encode()
-        for name in ("export.log", "copy.log"):
-            handle = vfs.open(pid, docs / name, "w", create=True)
+        for seed, name in enumerate(("export.log", "copy.log"), 6):
+            vfs.peek_write(docs / name,
+                           paragraphs(random.Random(seed), 8_000).encode())
+            handle = vfs.open(pid, docs / name, "w", truncate=True)
             for start in range(0, len(content), 4096):
                 vfs.write(pid, handle, content[start:start + 4096])
             vfs.close(pid, handle)

@@ -163,6 +163,16 @@ class TestBufferedMode:
         assert state.streaming
         assert state.total == 1000
 
+    def test_key_only_keeps_no_chunks(self):
+        content = _text(9, 20_000)
+        state = _stream(_chunked(content, 777), min_stream_bytes=None)
+        assert not state.streaming
+        assert state.chunks_consumed == 0
+        assert state.total == len(content)
+        assert state.key() == DigestCache.key(content)
+        with pytest.raises(RuntimeError):
+            state.finalize()
+
 
 @pytest.fixture
 def env():
@@ -196,6 +206,12 @@ def _run_encryptor(vfs, monitor, pid):
         pass
 
 
+def _plant(vfs, path, seed=99):
+    """Put a previous version at ``path``: a rewrite of it compares, so
+    its handle streams (a file its writer creates has no baseline)."""
+    vfs.peek_write(path, _text(seed))
+
+
 def _append_file(vfs, pid, path, chunks):
     handle = vfs.open(pid, path, "w", create=True, truncate=True)
     for chunk in chunks:
@@ -225,6 +241,7 @@ class TestEngineStreaming:
     def test_streamed_digest_matches_whole_file(self, env):
         vfs, monitor, pid = env()
         content = _text(51, 20_000)
+        _plant(vfs, DOCUMENTS / "streamed.bin")
         _append_file(vfs, pid, DOCUMENTS / "streamed.bin",
                      _chunked(content, 1000))
         node_id = vfs.peek_stat(DOCUMENTS / "streamed.bin").node_id
@@ -302,6 +319,8 @@ class TestStreamedCloseWork:
     and the scheduler's ``digest_many`` flush) is recorded by size."""
 
     SIZE, CHUNK = 512 * 1024, 64 * 1024
+    #: the planted previous version, a different size from the rewrite
+    BASELINE = _text(61, SIZE // 4)
 
     @pytest.fixture
     def whole_digests(self, monkeypatch):
@@ -323,8 +342,9 @@ class TestStreamedCloseWork:
         return sizes
 
     def _write(self, front_to_back):
-        """One new file written in chunks, closed and flushed; the LRU is
-        off so no key hit can stand in for the digest under test."""
+        """A planted file rewritten in chunks through a truncating open,
+        closed and flushed; the LRU is off so no key hit can stand in for
+        the digest under test."""
         vfs = VirtualFileSystem()
         vfs._ensure_dirs(DOCUMENTS)
         config = CryptoDropConfig(stream_digest_min_bytes=0,
@@ -334,7 +354,8 @@ class TestStreamedCloseWork:
         pid = vfs.processes.spawn("writer.exe").pid
         content = _text(60, self.SIZE)
         path = DOCUMENTS / "archive.dat"
-        handle = vfs.open(pid, path, "w", create=True)
+        vfs.peek_write(path, self.BASELINE)
+        handle = vfs.open(pid, path, "w", truncate=True)
         offsets = range(0, len(content), self.CHUNK)
         for offset in (offsets if front_to_back else reversed(offsets)):
             vfs.seek(pid, handle, offset)
@@ -346,14 +367,16 @@ class TestStreamedCloseWork:
 
     def test_streamed_close_calls_no_whole_buffer_sdhash(self, whole_digests):
         content, stats, record = self._write(front_to_back=True)
-        assert whole_digests == []
+        # the one whole-buffer digest is the baseline the comparison reads
+        assert whole_digests == [len(self.BASELINE)]
         assert stats["finalized"] == 1
         assert stats["bytes_streamed"] == len(content)
         assert record.base_digest.hexdigest() == sdhash(content).hexdigest()
         # the same bytes written back to front are no stream: the close
-        # pays for one whole-buffer digest
+        # pays for one more whole-buffer digest, the content's
+        del whole_digests[:]
         content, stats, _ = self._write(front_to_back=False)
-        assert whole_digests == [len(content)]
+        assert whole_digests == [len(self.BASELINE), len(content)]
         assert stats["finalized"] == 0
 
     def test_append_only_stream_ends_with_no_fallbacks(self):
@@ -361,6 +384,73 @@ class TestStreamedCloseWork:
         assert stats["fallbacks"] == {}
         assert stats["started"] == stats["finalized"] == 1
         assert stats["in_flight"] == 0
+
+
+class TestDigestOnlyWhatIsCompared:
+    """Only a handle whose close compares runs the digest pipeline; every
+    sole-writer sequential handle keeps its running content key, which
+    its close reuses, so no written byte is hashed twice."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """Calls into the numpy stream pipeline and bytes hashed by
+        ``DigestCache.key``."""
+        calls = {"consume": 0, "key_bytes": []}
+        consume, key = StreamingDigestState._consume, DigestCache.key
+
+        def counting_consume(state, chunk):
+            calls["consume"] += 1
+            return consume(state, chunk)
+
+        def counting_key(content):
+            calls["key_bytes"].append(len(content))
+            return key(content)
+
+        monkeypatch.setattr(StreamingDigestState, "_consume",
+                            counting_consume)
+        monkeypatch.setattr(DigestCache, "key", staticmethod(counting_key))
+        return calls
+
+    def test_new_file_defers_with_its_running_key(self, env, work):
+        vfs, monitor, pid = env(stream_digest_min_bytes=8 * 1024)
+        content = _text(55, 40_000)
+        path = DOCUMENTS / "export.txt"
+        handle = vfs.open(pid, path, "w", create=True, truncate=True)
+        for chunk in _chunked(content, 4096):
+            vfs.write(pid, handle, chunk)
+        del work["key_bytes"][:]
+        vfs.close(pid, handle)
+        # no close compares a new file, so its handle did no numpy work
+        # and its close hashed nothing
+        assert work == {"consume": 0, "key_bytes": []}
+        stats = monitor.engine.stream_stats()
+        assert stats["finalized"] == 0 and stats["fallbacks"] == {}
+        record = monitor.engine.cache.get(vfs.peek_stat(path).node_id)
+        assert record.pending_content == content
+        assert record.base_digest is None
+        assert record.pending_key == DigestCache.key(content)
+        monitor.flush_inspections()
+        assert record.base_digest.hexdigest() == sdhash(content).hexdigest()
+
+    def test_comparing_close_below_threshold_reuses_running_key(
+            self, env, work):
+        vfs, monitor, pid = env(stream_digest_min_bytes=1 << 20)
+        content = _text(56, 20_000)
+        path = DOCUMENTS / "doc3.txt"
+        # the truncating open captures the previous version's key
+        handle = vfs.open(pid, path, "w", truncate=True)
+        del work["key_bytes"][:]
+        for chunk in _chunked(content, 4096):
+            vfs.write(pid, handle, chunk)
+        vfs.close(pid, handle)
+        # buffered below the threshold: the close digests the whole
+        # content, keyed by the stream's running hash alone
+        assert work == {"consume": 0, "key_bytes": []}
+        record = monitor.engine.cache.get(vfs.peek_stat(path).node_id)
+        assert record.base_digest.hexdigest() == sdhash(content).hexdigest()
+        found = monitor.engine.cache.digest_cache.get(
+            DigestCache.key(content))
+        assert found is not None and found.digest is record.base_digest
 
 
 class TestStreamingIdentity:
@@ -419,6 +509,7 @@ class TestStreamingIdentity:
 
     def test_stream_counters_survive_checkpoint(self, env):
         vfs, monitor, pid = env()
+        _plant(vfs, DOCUMENTS / "persist.txt")
         _append_file(vfs, pid, DOCUMENTS / "persist.txt",
                      _chunked(_text(53, 10_000), 1024))
         before = monitor.engine.stream_stats()
@@ -484,6 +575,7 @@ class TestStreamingTelemetry:
     def test_streamed_close_emits_event_and_counters(self, env):
         vfs, monitor, pid = env()
         content = _text(54, 15_000)
+        _plant(vfs, DOCUMENTS / "telem.txt")
         _append_file(vfs, pid, DOCUMENTS / "telem.txt",
                      _chunked(content, 2048))
         events = monitor.telemetry.bus.events("stream_digest_finalized")

@@ -7,7 +7,7 @@
 PYTEST = PYTHONPATH=src python -m pytest -x -q
 
 .PHONY: verify test unit chaos bench bench-ab bench-counters \
-	telemetry-demo store-demo perfbench-smoke table1-check
+	telemetry-demo store-demo perfbench-smoke perfbench-pairs table1-check
 
 PERFBENCH_WORKLOADS = attack_replay benign_desktop bulk_append ingest_chaos
 
@@ -60,6 +60,18 @@ perfbench-smoke:
 			% (sys.argv[1], r["failed"], r["attempted"])); \
 			sys.exit(1 if r["failed"] else 0)' $$w || exit 1; \
 	done
+
+# parent-vs-change perfbench pairs: W=<workload> SEED=<n> [N=10] [BASE=HEAD]
+# [CLAIM=<metric>].  Extracts BASE with git archive, runs perfbench/run.py
+# alternately on it and on the working tree N times each (about N x 2 x
+# (set-up + 10 s)), prints each run's report as a JSON line, then both
+# sides' medians, quartiles and wins, and fails on a BENCHMARK.json bound
+# exceeded or an unmet claim
+N ?= 10
+BASE ?= HEAD
+perfbench-pairs:
+	python3 benchmarks/perfbench_pairs.py --workload $(W) --seed $(SEED) \
+		--pairs $(N) --base $(BASE) $(if $(CLAIM),--claim $(CLAIM))
 
 # the EXPERIMENTS.md headline end to end: the full-scale Table I run
 # (492/492 detected, median 10 files lost, range 0-42), minus its timing

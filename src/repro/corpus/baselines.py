@@ -226,7 +226,10 @@ class BaselineStore:
         One sequential pass — records stream out in entry order, the
         sorted key index and type table follow, and the header (with the
         incremental fingerprint state) seals the file.  The result
-        reopens via :meth:`open` with an identical fingerprint.
+        reopens via :meth:`open` with an identical fingerprint.  The
+        file is written under a temporary name and renamed over ``path``
+        only once complete, so a save that fails leaves the previous
+        store at ``path`` as it was.
         """
         from ..store.writer import StoreWriter
         writer = StoreWriter(path, seed=self.seed, backend=self.backend,
@@ -235,11 +238,11 @@ class BaselineStore:
         try:
             for key in self._impl.keys():
                 writer.add(key, self._impl.get(key))
+            return writer.finish(total_bytes=self.total_bytes,
+                                 build_seconds=self.build_seconds)
         except BaseException:
             writer.abort()
             raise
-        return writer.finish(total_bytes=self.total_bytes,
-                             build_seconds=self.build_seconds)
 
     @classmethod
     def open(cls, path, hot_entries: int = 4096) -> "BaselineStore":

@@ -128,11 +128,11 @@ def _build_shard_file(args) -> str:
     try:
         for key in keys:
             writer.add(key, entries[key])
+        return writer.finish(total_bytes=total,
+                             build_seconds=time.perf_counter() - started)
     except BaseException:
         writer.abort()
         raise
-    return writer.finish(total_bytes=total,
-                         build_seconds=time.perf_counter() - started)
 
 
 def build_store_parallel(corpus, backend: str = "sdhash",

@@ -221,8 +221,8 @@ def _anchor_positions(buf: np.ndarray) -> np.ndarray:
 #: term table for window entropies: _ENTROPY_TERMS[c] equals the
 #: ``p * log2(p)`` term for a byte count of c out of WINDOW, computed with
 #: the same float ops the direct formula uses — looking it up instead of
-#: calling log2 on a mostly-zero (n, 256) matrix is what makes feature
-#: selection fast, while every summed term stays bit-identical.
+#: calling log2 on a mostly-zero (windows, bins) matrix is what makes
+#: feature selection fast, while every summed term stays bit-identical.
 _ENTROPY_TERMS = np.zeros(WINDOW + 1, dtype=np.float64)
 _counts = np.arange(1, WINDOW + 1, dtype=np.float64)
 _ENTROPY_TERMS[1:] = (_counts / WINDOW) * np.log2(_counts / WINDOW)
@@ -230,14 +230,33 @@ del _counts
 
 
 #: row-block size for the per-window histograms: a small block keeps each
-#: scatter's working set (block × 256 int64 counts + the term gather) in
-#: the L1/L2 caches and every temporary under the allocator's mmap
-#: threshold; rows are independent, so blocking cannot change a result.
+#: scatter's working set (block × width int64 counts + the term gather,
+#: width ≤ 256 bins) in the L1/L2 caches and every temporary under the
+#: allocator's mmap threshold; rows are independent, so blocking cannot
+#: change a result.
 _ENTROPY_BLOCK = 128
 #: windows copied out of the buffer per gather (128 KiB of rows): enough
 #: blocks to amortise the gather's call overhead, few enough that the
 #: copy never grows with the input
 _GATHER_ROWS = 16 * _ENTROPY_BLOCK
+#: the block row each histogram index belongs to, ``WINDOW`` times per row
+_ROW_OF = np.repeat(np.arange(_ENTROPY_BLOCK, dtype=np.int64), WINDOW)
+_ROW_OF.flags.writeable = False
+#: bytes whose range is read before the whole buffer's: a byte below 8
+#: and one at 248 or above already make the range all 256 bins, and a
+#: range can only widen, so full-width content (ciphertext, compressed
+#: data) never reads the rest of its buffer for it
+_RANGE_PREFIX = 4096
+
+
+def _byte_range(buf: np.ndarray) -> Tuple[int, int]:
+    """The 8-aligned byte range ``[b0, b1)`` that holds every byte of
+    ``buf``."""
+    head = buf[:_RANGE_PREFIX]
+    if np.minimum.reduce(head) < 8 and np.maximum.reduce(head) >= 248:
+        return 0, 256
+    return (int(np.minimum.reduce(buf)) & ~7,
+            (int(np.maximum.reduce(buf)) | 7) + 1)
 
 
 def _window_entropies(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -247,17 +266,42 @@ def _window_entropies(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
     ``_GATHER_ROWS`` at a time, so the windows are never copied out all
     at once: transient memory stays bounded, not ``WINDOW`` bytes per
     anchor.
+
+    Each window is histogrammed over the 8-aligned byte range
+    ``[b0, b1)`` of ``buf`` only (``b1 - b0`` bins: 120 for ASCII text,
+    256 for ciphertext), and the value is bit-identical to the 256-bin
+    sum.  NumPy sums a contiguous row of 256 float64 terms as
+    ``pairwise(a[:128]) + pairwise(a[128:])``, and a pairwise run of at
+    most 128 values adds bin ``j`` into lane ``j % 8`` in ascending order
+    before combining the eight lanes.  An 8-aligned range keeps every
+    bin in its lane and in its order, and every bin it leaves out has a
+    count of 0, whose term ``+0.0`` leaves a lane unchanged (no term is
+    ``-0.0``).  So the range is summed once when it lies inside one half
+    of 0–255 or is all of it, and as two half-sums added together when
+    it straddles 128.  ``tests/test_simhash_vectorised.py`` checks this
+    model of NumPy's summation order against the installed NumPy.
     """
     n = starts.size
     out = np.empty(n, dtype=np.float64)
     if n == 0:
         return out
-    every = np.lib.stride_tricks.as_strided(
-        buf, (buf.size - WINDOW + 1, WINDOW), (1, 1), writeable=False)
+    # every window as a row of one strided view of ``buf`` (the ndarray
+    # constructor builds it in a fifth of ``as_strided``'s time; it is
+    # only read)
+    every = np.ndarray((buf.size - WINDOW + 1, WINDOW), np.uint8, buf,
+                       strides=(1, 1))
+    b0, b1 = _byte_range(buf)
+    width = b1 - b0
+    # a range that straddles 128 short of all 256 bins sums as two halves
+    split = 128 - b0 if b0 < 128 < b1 and width < 256 else width
     block = min(n, _ENTROPY_BLOCK)
-    base = np.repeat(np.arange(block, dtype=np.int64), WINDOW) * 256
+    # byte v of block row r counts at r * width + v - b0
+    base = _ROW_OF[:block * WINDOW] * width
+    if b0:
+        base -= b0
     idx = np.empty(block * WINDOW, dtype=np.int64)
-    terms = np.empty((block, 256), dtype=np.float64)
+    terms = np.empty((block, width), dtype=np.float64)
+    high = np.empty(block, dtype=np.float64)
     for lo in range(0, n, block):
         if lo % _GATHER_ROWS == 0:
             rows = every[starts[lo:lo + _GATHER_ROWS]].reshape(-1)
@@ -267,9 +311,14 @@ def _window_entropies(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
         np.add(base[:k * WINDOW], rows[at:at + k * WINDOW],
                out=idx[:k * WINDOW])
         counts = np.bincount(idx[:k * WINDOW],
-                             minlength=k * 256).reshape(k, 256)
+                             minlength=k * width).reshape(k, width)
         np.take(_ENTROPY_TERMS, counts, mode="clip", out=terms[:k])
-        terms[:k].sum(axis=1, out=out[lo:hi])
+        if split < width:
+            terms[:k, :split].sum(axis=1, out=out[lo:hi])
+            terms[:k, split:].sum(axis=1, out=high[:k])
+            out[lo:hi] += high[:k]
+        else:
+            terms[:k].sum(axis=1, out=out[lo:hi])
     # the per-row value is -(sum of terms); negating the finished sums is
     # exact, so results match the direct -_ENTROPY_TERMS[counts].sum() form
     np.negative(out, out=out)
@@ -465,7 +514,9 @@ class StreamingDigestState:
       its rolling-hash context (bytes ``S-8 .. S-1``) always lies inside
       the carried 71-byte tail, so the anchor decision sees exactly the
       bytes the whole-buffer scan sees,
-    * entropies: ``_window_entropies`` is row-independent, so per-chunk
+    * entropies: ``_window_entropies`` is row-independent, and a row's
+      value does not depend on the byte range its call histograms (a
+      chunk's range is its own, not the whole stream's), so per-chunk
       calls produce the same float64 values as one whole-buffer call,
     * popularity: candidates arrive in globally ascending ``S`` order
       (per-chunk intervals ``(T_old-WINDOW, T_new-WINDOW]`` are disjoint

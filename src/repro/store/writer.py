@@ -8,6 +8,13 @@ back over the placeholder.  Nothing is buffered except the index rows
 (28 bytes/entry) and the type table, so writing a million-entry store
 never materialises the entry dict.
 
+Both writers build the file under a temporary name in the target's
+directory, fsync it, ``os.replace`` it over the target and fsync the
+directory.  A build that fails or is cut short leaves the previous store
+at the path byte for byte, and a reader that has the previous file
+mapped keeps reading it (the rename swaps the name, not the inode's
+bytes).
+
 :func:`merge_store_files` fuses shard store files (each a complete,
 valid store over a disjoint key subset) into one: record regions are
 copied — raw when the shard's type table already matches the merged
@@ -21,6 +28,7 @@ a single key twice.
 from __future__ import annotations
 
 import os
+import secrets
 import struct
 import zlib
 from typing import Dict, List, Optional, Sequence
@@ -38,8 +46,37 @@ _COPY_CHUNK = 8 * 1024 * 1024
 _STATE_MASK = (1 << 128) - 1
 
 
+def _temp_sibling(path: str) -> str:
+    """A fresh name next to ``path``: same directory, so the final
+    ``os.replace`` is one rename within one file system."""
+    return f"{path}.{os.getpid()}-{secrets.token_hex(4)}.tmp"
+
+
+def _commit(fh, tmp: str, path: str) -> None:
+    """Make ``tmp`` durable, rename it over ``path``, then make the rename
+    durable."""
+    fh.flush()
+    os.fsync(fh.fileno())
+    fh.close()
+    os.replace(tmp, path)
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _discard(fh, tmp: str) -> None:
+    """Close and delete an uncommitted temporary file."""
+    fh.close()
+    if os.path.exists(tmp):
+        os.unlink(tmp)
+
+
 class StoreWriter:
-    """Append records, then :meth:`finish` — one sequential pass."""
+    """Append records, then :meth:`finish` — one sequential pass into a
+    temporary sibling of ``path`` that only :meth:`finish` renames into
+    place."""
 
     def __init__(self, path, seed: int, backend: str,
                  max_inspect_bytes: int, digests_enabled: bool) -> None:
@@ -54,7 +91,8 @@ class StoreWriter:
         self._offsets: List[int] = []
         self._lengths: List[int] = []
         self._state = 0
-        self._file = open(self.path, "wb")
+        self._tmp = _temp_sibling(self.path)
+        self._file = open(self._tmp, "xb")
         self._file.write(b"\x00" * HEADER_SIZE)
         self._offset = HEADER_SIZE
 
@@ -97,14 +135,13 @@ class StoreWriter:
             fingerprint_state=self._state)
         self._file.seek(0)
         self._file.write(pack_header(header))
-        self._file.close()
+        _commit(self._file, self._tmp, self.path)
         return self.path
 
     def abort(self) -> None:
-        """Close and delete the partial file (error-path cleanup)."""
-        self._file.close()
-        if os.path.exists(self.path):
-            os.unlink(self.path)
+        """Close and delete the partial temporary file (error-path
+        cleanup); whatever ``path`` held stays as it was."""
+        _discard(self._file, self._tmp)
 
 
 def _read_shard(path: str):
@@ -182,7 +219,10 @@ def merge_store_files(shard_paths: Sequence[str], out_path,
     total_bytes = 0
     n_entries = 0
     shard_seconds = 0.0
-    with open(str(out_path), "wb") as out:
+    out_path = str(out_path)
+    tmp = _temp_sibling(out_path)
+    out = open(tmp, "xb")
+    try:
         out.write(b"\x00" * HEADER_SIZE)
         offset = HEADER_SIZE
         for i, header in enumerate(headers):
@@ -219,4 +259,8 @@ def merge_store_files(shard_paths: Sequence[str], out_path,
             fingerprint_state=state)
         out.seek(0)
         out.write(pack_header(header))
-    return str(out_path)
+        _commit(out, tmp, out_path)
+    except BaseException:
+        _discard(out, tmp)
+        raise
+    return out_path

@@ -15,6 +15,7 @@
   full stream, and the batched store build must equal the serial one.
 """
 
+import importlib
 import random
 import tracemalloc
 from types import SimpleNamespace
@@ -32,10 +33,11 @@ from repro.entropy import (WeightedEntropyMean, corrected_entropies_from_histogr
                            histograms_many)
 from repro.fs import DOCUMENTS, ProcessSuspended, TEMP, VirtualFileSystem
 from repro.simhash import compare, compare_many, digest_many, sdhash
-from repro.simhash.sdhash import MIN_DIGEST_BYTES, WINDOW
+from repro.simhash.sdhash import MIN_DIGEST_BYTES, WINDOW, _anchor_positions
 
 from tests.reference import (detection_output, eager_reference,
                              sdhash_scalar, verdict_checkpoint)
+from tests.test_sdhash_golden import INPUTS as GOLDEN_INPUTS
 
 KEY, NONCE = bytes(32), bytes(12)
 
@@ -84,7 +86,6 @@ class TestDigestMany:
     def test_span_grouping_preserves_identity(self, monkeypatch):
         # force several concatenation groups so the group-boundary
         # bookkeeping (offsets, anchor filtering, popularity gaps) runs
-        import importlib
         # the package re-exports the sdhash *function* under the same
         # name, so fetch the module itself
         mod = importlib.import_module("repro.simhash.sdhash")
@@ -149,6 +150,55 @@ class TestKernelMemory:
     def test_digest_many_peak_under_24_mib_for_8_mib(self):
         blobs = [self._text(2 + i, 2 << 20) for i in range(4)]
         assert self._peak(digest_many, blobs) < 24 << 20
+
+
+class _TermLookups:
+    """Stands in for ``numpy`` inside ``repro.simhash.sdhash`` and counts
+    the histogram cells folded through the entropy term table (the
+    kernel's only ``np.take``)."""
+
+    def __init__(self):
+        self.cells = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def take(self, table, counts, *args, **kwargs):
+        self.cells += counts.size
+        return np.take(table, counts, *args, **kwargs)
+
+
+class TestEntropyWork:
+    """The window-entropy pass histograms only the byte range a digest's
+    windows can reach: ASCII text fills at most 120 bins per window,
+    ciphertext all 256, bytes from one end group 8.  A work count, not a
+    timing."""
+
+    @staticmethod
+    def _cells_per_window(monkeypatch, content):
+        spy = _TermLookups()
+        with monkeypatch.context() as patch:
+            patch.setattr(importlib.import_module("repro.simhash.sdhash"),
+                          "np", spy)
+            sdhash(content)
+        windows = _anchor_positions(np.frombuffer(content, np.uint8)).size
+        return spy.cells / windows
+
+    def test_text_fills_at_most_120_bins_per_window(self, monkeypatch):
+        for size in (4096, 11_000, 65_536, 300_000):
+            content = GOLDEN_INPUTS[f"text/{size}"]
+            assert self._cells_per_window(monkeypatch, content) <= 120, size
+
+    def test_ciphertext_fills_all_256_bins_per_window(self, monkeypatch):
+        content = GOLDEN_INPUTS["cipher/300000"]
+        assert self._cells_per_window(monkeypatch, content) == 256
+
+    def test_an_end_group_fills_eight_bins_per_window(self, monkeypatch):
+        # one extreme byte value is not the whole range
+        rng = np.random.default_rng(19)
+        for lo in (0, 248):
+            content = rng.integers(lo, lo + 8, 20_000, np.uint8).tobytes()
+            assert self._cells_per_window(monkeypatch, content) == 8, lo
 
 
 class TestCompareMany:

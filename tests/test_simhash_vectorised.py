@@ -6,20 +6,29 @@ identical hexdigests, identical integer scores — over diverse corpora:
 text, random bytes, compressed data, zero padding, and multi-filter
 (300 KB+) documents.  Any last-ulp float divergence in the entropy
 selection or any popcount discrepancy in the compare shows up here.
+
+The window entropies histogram only the byte range of their buffer and
+rely on NumPy's float64 summation order to stay bit for bit the 256-bin
+sums; a canary checks that order against the installed NumPy, and
+hypothesis tests probe buffers at the edges of the byte ranges.
 """
 
 import random
 import zlib
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.corpus.wordlists import paragraphs
 from repro.simhash.bloom import BloomFilter, feature_positions, packed_popcount
-from repro.simhash.sdhash import SdDigest, _select_features, compare, sdhash
-from tests.reference import (_select_features_scalar, compare_scalar,
-                             sdhash_scalar)
+from repro.simhash.sdhash import (_ENTROPY_TERMS, WINDOW, SdDigest,
+                                  StreamingDigestState, _select_features,
+                                  _window_entropies, compare, digest_many,
+                                  sdhash)
+from tests.reference import (_select_features_scalar, _window_entropy_scalar,
+                             compare_scalar, sdhash_scalar)
 
 
 def _corpus():
@@ -90,7 +99,6 @@ def test_compare_against_golden_values():
 def test_feature_positions_match_scalar_bloom():
     import hashlib
 
-    import numpy as np
     features = _select_features(CORPUS[0])[:50]
     raw = b"".join(hashlib.sha1(f).digest() for f in features)
     rows = feature_positions(
@@ -144,3 +152,175 @@ def test_digest_equivalence_arbitrary_bytes(data):
         assert vec is None
     else:
         assert vec.hexdigest() == ref.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# canary: the float64 summation order the window entropies rely on
+# ---------------------------------------------------------------------------
+
+
+def _pairwise_model(values):
+    """NumPy's float64 sum of a contiguous run of a multiple of 8 values,
+    in plain Python.  A run over 128 values splits at its half, rounded
+    down to a multiple of 8.  A run of 8 to 128 values adds value ``i``
+    into lane ``i % 8`` in ascending order and combines the lanes as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``."""
+    n = len(values)
+    assert n and n % 8 == 0
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_model(values[:half]) + _pairwise_model(values[half:])
+    r = list(values[:8])
+    for i in range(8, n, 8):
+        for j in range(8):
+            r[j] += values[i + j]
+    return ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+
+
+def _order_changed(what):
+    return (f"{what}: NumPy's float64 pairwise summation no longer follows "
+            f"the order the sdhash window entropies rely on (numpy "
+            f"{np.__version__}); the ranged histogram sums and the pins in "
+            f"tests/data/sdhash_golden.txt depend on it")
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _random_windows(rng, count):
+    """``count`` 64-byte windows, each with its non-zero bins in a random
+    span of byte values."""
+    windows = []
+    for _ in range(count):
+        lo = int(rng.integers(0, 256))
+        hi = int(rng.integers(lo, 256))
+        distinct = int(rng.integers(1, min(WINDOW, hi - lo + 1) + 1))
+        values = rng.choice(np.arange(lo, hi + 1), distinct, replace=False)
+        cuts = np.sort(rng.choice(np.arange(1, WINDOW), distinct - 1,
+                                  replace=False))
+        sizes = np.diff(np.concatenate([[0], cuts, [WINDOW]]))
+        window = np.repeat(values, sizes).astype(np.uint8)
+        rng.shuffle(window)
+        windows.append(window)
+    return windows
+
+
+class TestSummationOrderCanary:
+    """``_window_entropies`` sums only the 8-aligned byte range of its
+    buffer and relies on NumPy summing a 256-term row in exactly the
+    order :func:`_pairwise_model` describes.  A NumPy that changes that
+    order fails here, with its cause, before the golden diff fails."""
+
+    def test_row_sums_follow_the_pairwise_model(self):
+        rng = np.random.default_rng(19)
+        counts = rng.integers(0, WINDOW + 1, size=(3000, 256))
+        keep = rng.random((3000, 256)) < rng.random((3000, 1))
+        rows = _ENTROPY_TERMS[np.where(keep, counts, 0)]
+        model = _hex(_pairwise_model(row.tolist()) for row in rows)
+        assert _hex(row.sum() for row in rows) == model, \
+            _order_changed("row.sum()")
+        assert _hex(rows.sum(axis=1)) == model, \
+            _order_changed("(k, 256) sum(axis=1)")
+
+    def test_ranged_sums_follow_the_pairwise_model(self):
+        rng = np.random.default_rng(23)
+        windows = _random_windows(rng, 300)
+        lows = np.array([w.min() for w in windows])
+        highs = np.array([w.max() for w in windows])
+        model = np.array([-_pairwise_model(
+            _ENTROPY_TERMS[np.bincount(w, minlength=256)].tolist())
+            for w in windows])
+        for b0 in range(0, 256, 8):
+            for b1 in range(b0 + 8, 257, 8):
+                fit = np.flatnonzero((lows >= b0) & (highs < b1))
+                if fit.size == 0:
+                    continue
+                # two bytes past the last window set the buffer's range
+                edges = [b0 + rng.integers(8), b1 - 1 - rng.integers(8)]
+                buf = np.concatenate([windows[i] for i in fit]
+                                     + [np.array(edges, np.uint8)])
+                got = _window_entropies(buf, np.arange(fit.size) * WINDOW)
+                assert _hex(got) == _hex(model[fit]), \
+                    _order_changed(f"the kernel's sum over [{b0}, {b1})")
+
+
+# ---------------------------------------------------------------------------
+# property: narrow, straddling and full byte ranges give the scalar values
+# ---------------------------------------------------------------------------
+
+#: byte alphabets at the range edges: one 8-bin group, the lowest and
+#: highest groups, a range straddling 128, the top half, ASCII text with
+#: one byte >= 128, and every value
+_ALPHABETS = ("group", "low", "high", "straddle", "upper", "text_one_high",
+              "all")
+
+
+def _alphabet_blob(kind, seed, size, at):
+    """``size`` bytes drawn from alphabet ``kind``; ``at`` places the high
+    byte of ``text_one_high``."""
+    rng = np.random.default_rng(seed)
+    if kind == "text_one_high":
+        text = bytearray(paragraphs(random.Random(seed), size + 64)
+                         .encode()[:size])
+        if text:
+            text[at % size] = int(rng.integers(128, 256))
+        return bytes(text)
+    group = 8 * (seed % 32)
+    lo, hi = {"group": (group, group + 8), "low": (0, 8),
+              "high": (248, 256), "straddle": (120, 136),
+              "upper": (128, 256), "all": (0, 256)}[kind]
+    return rng.integers(lo, hi, size, dtype=np.uint8).tobytes()
+
+
+def _same_digest(got, ref):
+    return (got and got.hexdigest()) == (ref and ref.hexdigest())
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(_ALPHABETS), seed=st.integers(0, 2**32 - 1),
+       size=st.integers(WINDOW, 5000), at=st.integers(0, 10**6),
+       n_starts=st.integers(1, 3000))
+@example(kind="straddle", seed=1, size=5000, at=0, n_starts=3000)
+@example(kind="text_one_high", seed=2, size=5000, at=4321, n_starts=3000)
+@example(kind="all", seed=3, size=5000, at=0, n_starts=3000)
+def test_window_entropies_match_scalar_at_range_edges(kind, seed, size, at,
+                                                      n_starts):
+    buf = np.frombuffer(_alphabet_blob(kind, seed, size, at), np.uint8)
+    offsets = buf.size - WINDOW + 1
+    starts = np.sort(np.random.default_rng(seed).choice(
+        offsets, min(n_starts, offsets), replace=False))
+    want = [_window_entropy_scalar(buf[s:s + WINDOW])
+            for s in starts.tolist()]
+    assert _hex(_window_entropies(buf, starts)) == _hex(want)
+
+
+_blob_spec = st.tuples(st.sampled_from(_ALPHABETS),
+                       st.integers(0, 2**32 - 1), st.integers(0, 6000),
+                       st.integers(0, 10**6))
+
+
+@settings(max_examples=15, deadline=None)
+@given(specs=st.lists(_blob_spec, min_size=1, max_size=6))
+@example(specs=[("text_one_high", 4, 5000, 77), ("all", 5, 3000, 0),
+                ("low", 6, 2000, 0), ("upper", 7, 4000, 0)])
+# the span's first 4,096 bytes hold a byte below 8 but none at 248 or
+# above, so its range is read from the whole span
+@example(specs=[("low", 8, 5000, 0), ("high", 9, 3000, 0)])
+def test_digest_many_mixed_ranges_match_scalar(specs):
+    batch = [_alphabet_blob(*spec) for spec in specs]
+    for blob, got in zip(batch, digest_many(batch)):
+        assert _same_digest(got, sdhash_scalar(blob))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.integers(1, 20_000), min_size=1, max_size=8))
+def test_stream_alternating_text_and_ciphertext_matches_scalar(seed, sizes):
+    rng = random.Random(seed)
+    chunks = [paragraphs(rng, n + 64).encode()[:n] if i % 2 == 0
+              else rng.randbytes(n) for i, n in enumerate(sizes)]
+    state = StreamingDigestState()
+    for chunk in chunks:
+        state.update(chunk)
+    assert _same_digest(state.finalize(), sdhash_scalar(b"".join(chunks)))

@@ -13,6 +13,10 @@ trust.
 import os
 import random
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,7 @@ from repro.sandbox import VirtualMachine, run_campaign, store_for_config
 from repro.sandbox.parallel import build_store_parallel
 from repro.store import (MmapBackend, StoreFormatError, fsck_store,
                          merge_store_files)
+from repro.store import writer as store_writer
 from repro.store.format import HEADER_SIZE
 from repro.telemetry import (TelemetrySession, engine_snapshot,
                              render_prometheus, validate_exposition)
@@ -451,6 +456,77 @@ class TestShardedBuild:
         store.save(pb)
         with pytest.raises(StoreFormatError, match="share|partition"):
             merge_store_files([str(pa), str(pb)], tmp_path / "out.cdbs")
+
+
+class TestCrashSafeRebuild:
+    """A store is rebuilt under a temporary name and renamed over its
+    path only when complete: a failed save keeps the previous file byte
+    for byte, and a reader that has it mapped keeps reading it."""
+
+    @pytest.mark.parametrize("records", [0, 1, 7])
+    def test_failed_save_keeps_the_previous_store(self, corpus, dict_store,
+                                                  tmp_path, monkeypatch,
+                                                  records):
+        path = tmp_path / "corpus.cdbs"
+        dict_store.save(path)
+        before = path.read_bytes()
+        rebuilt = BaselineStore.build(corpus, max_inspect_bytes=1024)
+        pack_record = store_writer.pack_record
+        packed = []
+
+        def pack_then_fail(entry, type_index):
+            if len(packed) == records:
+                raise OSError("disk full")
+            packed.append(entry)
+            return pack_record(entry, type_index)
+
+        monkeypatch.setattr(store_writer, "pack_record", pack_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            rebuilt.save(path)
+        assert len(packed) == records
+        assert path.read_bytes() == before
+        assert fsck_store(str(path))["ok"]
+        assert os.listdir(tmp_path) == ["corpus.cdbs"], "temp file left"
+
+    def test_open_reader_survives_a_rebuild_at_its_path(self, tmp_path):
+        # run in a child: a rebuild that truncated the mapped file would
+        # kill the reader with SIGBUS, which must fail this test, not
+        # kill pytest
+        script = textwrap.dedent("""
+            import sys
+            from repro.corpus import BaselineStore, generate
+
+            def fields(entry):
+                digest = entry.digest and entry.digest.hexdigest()
+                return (entry.file_type, entry.size, entry.entropy,
+                        entry.digested, digest)
+
+            path = sys.argv[1]
+            old = BaselineStore.build(generate(seed=83, n_files=40,
+                                               n_dirs=4, use_cache=False))
+            new = BaselineStore.build(generate(seed=84, n_files=40,
+                                               n_dirs=4, use_cache=False))
+            old.save(path)
+            reader = BaselineStore.open(path, hot_entries=0)
+            new.save(path)
+            keys = list(old._impl.keys())
+            for key in keys:
+                assert fields(reader.get(key)) == fields(old.get(key))
+            reader.close()
+            fresh = BaselineStore.open(path)
+            assert fresh.fingerprint == new.fingerprint
+            assert all(fresh.get(key) is None for key in keys
+                       if key not in new)
+            fresh.close()
+            print("served", len(keys))
+        """)
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "live.cdbs")],
+            env=env, capture_output=True, text=True, timeout=240)
+        assert result.returncode == 0, (result.returncode, result.stderr)
+        assert result.stdout.startswith("served ")
 
 
 class TestCtphBackend:

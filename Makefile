@@ -7,7 +7,8 @@
 PYTEST = PYTHONPATH=src python -m pytest -x -q
 
 .PHONY: verify test unit chaos bench bench-ab bench-counters \
-	telemetry-demo store-demo perfbench-smoke perfbench-pairs table1-check
+	telemetry-demo store-demo perfbench-smoke perfbench-pairs kernel-pairs \
+	table1-check
 
 PERFBENCH_WORKLOADS = attack_replay benign_desktop bulk_append ingest_chaos
 
@@ -72,6 +73,18 @@ BASE ?= HEAD
 perfbench-pairs:
 	python3 benchmarks/perfbench_pairs.py --workload $(W) --seed $(SEED) \
 		--pairs $(N) --base $(BASE) $(if $(CLAIM),--claim $(CLAIM))
+
+# base-vs-change kernel pairs: BASE=<commit> FN=<sdhash|window_entropies|
+# digest_many> INPUT=<text|cipher|save|unrelated>:<size>[,<size>...]
+# [PAIRS=40].  Loads BASE's (git archive) and the working tree's
+# repro/simhash in one process, frees one 16 MiB block first (the
+# allocator state perfbench's set-up leaves), alternates the two trees'
+# calls and prints per leg the median per-call time, the difference,
+# the share of pairs won and minor faults / system time per call
+PAIRS ?= 40
+kernel-pairs:
+	python3 benchmarks/kernel_pairs.py --base $(BASE) --fn $(FN) \
+		--input $(INPUT) --pairs $(PAIRS)
 
 # the EXPERIMENTS.md headline end to end: the full-scale Table I run
 # (492/492 detected, median 10 files lost, range 0-42), minus its timing

@@ -107,6 +107,10 @@ class AnalysisEngine(FilterDriver):
         self.streams_finalized = 0
         self.bytes_streamed = 0
         self.stream_fallbacks: Dict[str, int] = {}
+        #: windows of the baseline digests that streamed comparisons
+        #: materialised: taken from the new version's stream, or computed
+        self.baseline_windows_reused = 0
+        self.baseline_windows_computed = 0
         self.detections: List[Detection] = []
         self._proc: Dict[int, _ProcessState] = {}
         self._whitelist: set = set()
@@ -500,14 +504,24 @@ class AnalysisEngine(FilterDriver):
         numpy work is in hand: finalising it now costs O(tail), so
         deferring (and later re-reading the whole file) would only waste
         the incremental work.  ``key`` is the content key a write stream
-        kept running, so the close never hashes the content again.
+        kept running, so the close never hashes the content again.  A
+        ``stream`` also lends the window entropies it computed to the
+        digest of a pending baseline, which then computes only the
+        windows outside the chunks the two versions share.
         """
         state = self._state(op.pid)
         comparing = self._compares(record)
         if comparing:
             # the baseline side must exist before we can know whether the
-            # new version's digest will be consumed
-            self.cache.materialise_baseline(record)
+            # new version's digest will be consumed; a pending baseline
+            # digests with the windows the new version's stream computed
+            if stream is not None and record.pending_content is not None:
+                reference = stream.window_reference(content)
+                self.cache.materialise_baseline(record, reference)
+                self.baseline_windows_reused += reference.reused
+                self.baseline_windows_computed += reference.computed
+            else:
+                self.cache.materialise_baseline(record)
         want_digest = (stream is not None
                        or (comparing
                            and (record.base_digest is not None
@@ -700,7 +714,11 @@ class AnalysisEngine(FilterDriver):
             "streams": {"started": self.streams_started,
                         "finalized": self.streams_finalized,
                         "bytes_streamed": self.bytes_streamed,
-                        "fallbacks": dict(self.stream_fallbacks)},
+                        "fallbacks": dict(self.stream_fallbacks),
+                        "baseline_windows_reused":
+                            self.baseline_windows_reused,
+                        "baseline_windows_computed":
+                            self.baseline_windows_computed},
             # metrics-registry lifetime counters travel (like the digest
             # cache's counters do); buffered ring events never checkpoint
             "telemetry": (self.telemetry.registry.checkpoint()
@@ -744,6 +762,10 @@ class AnalysisEngine(FilterDriver):
         self.streams_finalized = int(streams.get("finalized", 0))
         self.bytes_streamed = int(streams.get("bytes_streamed", 0))
         self.stream_fallbacks = dict(streams.get("fallbacks", {}))
+        self.baseline_windows_reused = int(
+            streams.get("baseline_windows_reused", 0))
+        self.baseline_windows_computed = int(
+            streams.get("baseline_windows_computed", 0))
         self._streams.clear()
         self._stream_nodes.clear()
         metric_state = state.get("telemetry")
@@ -767,8 +789,10 @@ class AnalysisEngine(FilterDriver):
                                    self._proc_name(self._root_pid(pid)))
 
     def stream_stats(self) -> dict:
-        """Incremental-digest observability: stream lifecycle counters
-        plus the per-reason fallback tally (the rate operators watch)."""
+        """Incremental-digest observability: stream lifecycle counters,
+        the per-reason fallback tally (the rate operators watch), and the
+        windows of streamed comparisons' baseline digests reused from
+        the stream or computed."""
         return {
             "enabled": self._stream_writes,
             "started": self.streams_started,
@@ -776,6 +800,8 @@ class AnalysisEngine(FilterDriver):
             "bytes_streamed": self.bytes_streamed,
             "in_flight": len(self._streams),
             "fallbacks": dict(self.stream_fallbacks),
+            "baseline_windows_reused": self.baseline_windows_reused,
+            "baseline_windows_computed": self.baseline_windows_computed,
         }
 
     def stats(self) -> dict:

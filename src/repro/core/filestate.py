@@ -38,7 +38,7 @@ from ..fs.paths import WinPath
 from ..magic import FileType, identify
 from ..telemetry.events import BaselineResolved, CacheEvicted
 from ..simhash import sdhash as _sdhash
-from ..simhash.sdhash import SdDigest
+from ..simhash.sdhash import SdDigest, WindowReference
 from ..simhash.ssdeep import CtphSignature, ctph
 from .schedule import InspectionScheduler
 
@@ -408,7 +408,9 @@ class FileStateCache:
             self.scheduler.discard(record.node_id)
         record.has_baseline = True
 
-    def materialise_baseline(self, record: TrackedFile) -> None:
+    def materialise_baseline(self, record: TrackedFile,
+                             reference: Optional[WindowReference] = None
+                             ) -> None:
         """Digest a deferred baseline now (a comparison needs it).
 
         Only this record drains, through the scheduler's flush — the
@@ -416,10 +418,12 @@ class FileStateCache:
         materialisation.  Records pending for other nodes stay pending:
         a comparison reads one baseline, and digesting the rest now
         would only move their cost into this close (or spend it on
-        digests nothing ever compares).
+        digests nothing ever compares).  ``reference`` carries the
+        window entropies of a new version that streamed, so the live
+        digest computes only the windows the two versions do not share.
         """
         if record.pending_content is not None:
-            self.scheduler.flush([record])
+            self.scheduler.flush([record], reference)
 
     def refresh_baseline(self, node_id: int, path: WinPath, content: bytes,
                          inspection: Optional[InspectionResult] = None

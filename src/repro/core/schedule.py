@@ -138,7 +138,7 @@ class InspectionScheduler:
         self.closes += 1
         return self.flush()
 
-    def flush(self, records=None) -> int:
+    def flush(self, records=None, reference=None) -> int:
         """Materialise pending digests now; returns records drained.
 
         ``records`` are the pending records to drain (a comparison's one
@@ -148,6 +148,9 @@ class InspectionScheduler:
         remainder goes through :func:`digest_many` in one batch.  The
         cached inspection reuses the record's capture-time file type and
         content key, both pure functions of the same bytes.
+        ``reference`` is a :class:`~repro.simhash.sdhash.WindowReference`
+        handed to :func:`digest_many`: the window entropies of the
+        streamed version that replaces a comparison's baseline.
         """
         if records is None:
             pending = list(self._pending.values())
@@ -185,8 +188,8 @@ class InspectionScheduler:
         if live:
             from .filestate import InspectionResult
             sdhash_backend = cache.backend == "sdhash"
-            digests = (digest_many(live_contents) if sdhash_backend
-                       else [None] * live)
+            digests = (digest_many(live_contents, reference=reference)
+                       if sdhash_backend else [None] * live)
             cache.digest_cache.bytes_digested += bytes_live
             for record, content, key, digest in zip(
                     live_records, live_contents, live_keys, digests):

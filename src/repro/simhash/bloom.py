@@ -2,9 +2,10 @@
 
 sdhash packs selected features into a chain of 256-byte Bloom filters
 (2048 bits, 5 bit-positions per feature, at most 160 features per filter).
-We reproduce that geometry.  Filters support fast popcount and intersection
-via NumPy, which is what makes digest comparison cheap enough to run inside
-the analysis engine at close time.
+We reproduce that geometry.  :class:`BloomFilter` is the per-feature,
+per-filter reading; the digest kernel derives every feature's bit
+positions at once with :func:`feature_positions` and compares packed
+filters as Python ints (:func:`repro.simhash.sdhash.compare`).
 """
 
 from __future__ import annotations
@@ -14,15 +15,11 @@ from typing import Iterable, List
 import numpy as np
 
 __all__ = ["BloomFilter", "FILTER_BITS", "BITS_PER_FEATURE", "MAX_FEATURES",
-           "feature_positions", "packed_popcount"]
+           "feature_positions"]
 
 FILTER_BITS = 2048          # 256 bytes, as in sdhash
 BITS_PER_FEATURE = 5        # sdhash uses 5 sub-hashes per SHA-1 feature
 MAX_FEATURES = 160          # features per filter before chaining
-
-#: per-byte popcount lookup, the workhorse of batched digest comparison
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)],
-                      dtype=np.uint16)
 
 
 def feature_positions(hashes: np.ndarray) -> np.ndarray:
@@ -39,11 +36,6 @@ def feature_positions(hashes: np.ndarray) -> np.ndarray:
     shifts = np.arange(BITS_PER_FEATURE, dtype=np.uint64) * np.uint64(11)
     return ((low[:, None] >> shifts[None, :])
             & np.uint64(FILTER_BITS - 1)).astype(np.int64)
-
-
-def packed_popcount(packed: np.ndarray) -> np.ndarray:
-    """Popcount along the last axis of a uint8-packed bit array."""
-    return _POPCOUNT8[packed].sum(axis=-1, dtype=np.int64)
 
 
 class BloomFilter:

@@ -36,9 +36,11 @@ entropies (:func:`_window_entropies`), the popularity rule
 feature emission (:func:`_feature_positions` hashes slices of one bytes
 object, :func:`_bloom_rows` scatters every filter of a batch into one
 bit matrix and packs it once).  :func:`sdhash` is the batched kernel run
-on a batch of one.  :func:`compare` scores a pair on Python ints;
-:func:`compare_many` stacks same-shape pairs into one batched popcount
-over the packed rows.
+on a batch of one.  A :class:`WindowReference` — the window entropies a
+stream computed for a related version — lets :func:`digest_many` skip
+the entropy of every window inside a content-defined chunk the two
+versions share byte for byte.  :func:`compare` scores a pair on Python
+ints, and :func:`compare_many` calls it per pair.
 The per-feature / per-pair scalar reading of the same definition lives
 in ``tests/reference.py``; the golden equivalence tests
 (``tests/test_simhash_vectorised.py``) pin the two bit-identical,
@@ -53,11 +55,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .bloom import (FILTER_BITS, MAX_FEATURES, BloomFilter,
-                    feature_positions, packed_popcount)
+from .bloom import FILTER_BITS, MAX_FEATURES, BloomFilter, feature_positions
 
 __all__ = ["SdDigest", "sdhash", "compare", "digest_many", "compare_many",
-           "StreamingDigestState",
+           "StreamingDigestState", "WindowReference",
            "MIN_DIGEST_BYTES", "WINDOW", "ANCHOR_MASK"]
 
 WINDOW = 64
@@ -94,8 +95,8 @@ class SdDigest:
     :func:`compare` never packs anything.
     """
 
-    __slots__ = ("counts", "n_features", "source_len", "_packed", "_pops",
-                 "_ints", "_filters")
+    __slots__ = ("counts", "n_features", "source_len", "_packed", "_ints",
+                 "_filters")
 
     def __init__(self, packed: np.ndarray, counts: List[int],
                  n_features: int, source_len: int) -> None:
@@ -104,7 +105,6 @@ class SdDigest:
         self.counts = counts
         self.n_features = n_features
         self.source_len = source_len
-        self._pops: Optional[np.ndarray] = None
         self._ints: Optional[Tuple[List[int], List[int]]] = None
         self._filters: Optional[List[BloomFilter]] = None
 
@@ -128,14 +128,8 @@ class SdDigest:
 
     def packed_matrix(self) -> np.ndarray:
         """All filters as an ``(n_filters, 256)`` uint8 bit-matrix
-        (np.packbits order) — what :func:`compare_many` intersects."""
+        (np.packbits order) — what the store codec writes."""
         return self._packed
-
-    def popcounts(self) -> np.ndarray:
-        """Per-filter set-bit counts, computed once."""
-        if self._pops is None:
-            self._pops = packed_popcount(self._packed)
-        return self._pops
 
     def _int_rows(self) -> Tuple[List[int], List[int]]:
         """Each filter as one 2048-bit Python int, with its popcount;
@@ -259,7 +253,9 @@ def _byte_range(buf: np.ndarray) -> Tuple[int, int]:
             (int(np.maximum.reduce(buf)) | 7) + 1)
 
 
-def _window_entropies(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def _window_entropies(buf: np.ndarray, starts: np.ndarray,
+                      byte_range: Optional[Tuple[int, int]] = None
+                      ) -> np.ndarray:
     """Shannon entropy of the ``WINDOW`` bytes of ``buf`` at each start.
 
     Rows are gathered from ``buf`` through a strided view
@@ -269,16 +265,17 @@ def _window_entropies(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
     Each window is histogrammed over the 8-aligned byte range
     ``[b0, b1)`` of ``buf`` only (``b1 - b0`` bins: 120 for ASCII text,
-    256 for ciphertext), and the value is bit-identical to the 256-bin
-    sum.  NumPy sums a contiguous row of 256 float64 terms as
-    ``pairwise(a[:128]) + pairwise(a[128:])``, and a pairwise run of at
-    most 128 values adds bin ``j`` into lane ``j % 8`` in ascending order
-    before combining the eight lanes.  An 8-aligned range keeps every
-    bin in its lane and in its order, and every bin it leaves out has a
-    count of 0, whose term ``+0.0`` leaves a lane unchanged (no term is
-    ``-0.0``).  So the range is summed once when it lies inside one half
-    of 0–255 or is all of it, and as two half-sums added together when
-    it straddles 128.  ``tests/test_simhash_vectorised.py`` checks this
+    256 for ciphertext), or over ``byte_range`` when the caller knows an
+    8-aligned range that holds every window, and the value is
+    bit-identical to the 256-bin sum.  NumPy sums a contiguous row of 256
+    float64 terms as ``pairwise(a[:128]) + pairwise(a[128:])``, and a
+    pairwise run of at most 128 values adds bin ``j`` into lane ``j % 8``
+    in ascending order before combining the eight lanes.  An 8-aligned
+    range keeps every bin in its lane and in its order, and every bin it
+    leaves out has a count of 0, whose term ``+0.0`` leaves a lane
+    unchanged (no term is ``-0.0``).  So the range is summed once when
+    it lies inside one half of 0–255 or is all of it, and as two
+    half-sums added together when it straddles 128.  ``tests/test_simhash_vectorised.py`` checks this
     model of NumPy's summation order against the installed NumPy.
     """
     n = starts.size
@@ -290,7 +287,7 @@ def _window_entropies(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
     # only read)
     every = np.ndarray((buf.size - WINDOW + 1, WINDOW), np.uint8, buf,
                        strides=(1, 1))
-    b0, b1 = _byte_range(buf)
+    b0, b1 = _byte_range(buf) if byte_range is None else byte_range
     width = b1 - b0
     # a range that straddles 128 short of all 256 bins sums as two halves
     split = 128 - b0 if b0 < 128 < b1 and width < 256 else width
@@ -325,6 +322,164 @@ def _window_entropies(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _span_entropies(buf: np.ndarray, starts: np.ndarray,
+                    offsets: np.ndarray, file_of: np.ndarray) -> np.ndarray:
+    """:func:`_window_entropies` over a batch span, each window
+    histogrammed over its own blob's byte range.
+
+    A span whose range is narrow is one call.  A full-width span made of
+    several blobs (one binary blob among text ones) groups its windows by
+    their blob's 8-aligned range and makes one call per distinct range,
+    so the binary blob does not widen every text window to 256 bins.
+    """
+    span = _byte_range(buf)
+    if span != (0, 256) or offsets.size <= 2:
+        return _window_entropies(buf, starts, span)
+    heads = offsets[:-1]
+    low = (np.minimum.reduceat(buf, heads) & 0xF8).astype(np.int64)
+    high = (np.maximum.reduceat(buf, heads) | 7).astype(np.int64) + 1
+    # each blob's range as one int: b0 << 9 | b1 (b1 <= 256)
+    ranges = (low << 9) | high
+    keys = np.unique(ranges).tolist()
+    if len(keys) == 1:
+        return _window_entropies(buf, starts, span)
+    out = np.empty(starts.size, dtype=np.float64)
+    for key in keys:
+        pick = np.flatnonzero((ranges == key)[file_of])
+        out[pick] = _window_entropies(buf, starts[pick], (key >> 9, key & 511))
+    return out
+
+
+# -- stage 2b: entropies lent by a related version ----------------------------
+
+#: content-defined chunks for reusing window entropies: an anchored window
+#: start is a candidate boundary when its 8 context bytes, read as one
+#: little-endian uint64 and multiplied by this constant mod 2**64, have
+#: their top 8 bits zero (about one anchor in 256, a chunk every ~4 KiB)
+_CUT_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+_CUT_SHIFT = np.uint64(56)
+#: a candidate is a boundary only this far past the previous boundary, so
+#: repetitive content (a zero run anchors, and cuts at, every offset)
+#: never makes more than ``len // _MIN_CHUNK`` boundaries
+_MIN_CHUNK = 512
+
+
+def _words(buf: np.ndarray) -> np.ndarray:
+    """The little-endian uint64 at every offset of ``buf`` (a view)."""
+    return np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
+
+
+def _cut_candidates(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The anchored window starts of ``buf`` (at least one) that are
+    candidate chunk boundaries."""
+    hashed = _words(buf)[starts - 8] * _CUT_MULTIPLIER
+    return starts[(hashed >> _CUT_SHIFT) == 0]
+
+
+def _chunk_bounds(size: int, cuts: np.ndarray) -> np.ndarray:
+    """Content-defined chunk boundaries of a ``size``-byte buffer whose
+    candidates are ``cuts`` (ascending): 0, each candidate at least
+    ``_MIN_CHUNK`` past the boundary before it, and ``size``.  One
+    ``searchsorted`` per chunk, however many candidates there are."""
+    bounds = [0]
+    while True:
+        i = int(cuts.searchsorted(bounds[-1] + _MIN_CHUNK))
+        if i == cuts.size:
+            break
+        bounds.append(int(cuts[i]))
+    bounds.append(size)
+    return np.array(bounds, dtype=np.int64)
+
+
+def _chunk_keys(buf: np.ndarray, bounds: np.ndarray):
+    """Each chunk long enough to hold a window, as ``(start, key)``; the
+    key (length, first and last 8 bytes) only finds candidates, a byte
+    comparison decides."""
+    heads, ends = bounds[:-1], bounds[1:]
+    fits = ends - heads >= WINDOW + 8
+    heads, ends = heads[fits], ends[fits]
+    if heads.size == 0:
+        return []
+    words = _words(buf)
+    return zip(heads.tolist(), zip((ends - heads).tolist(),
+                                   words[heads].tolist(),
+                                   words[ends - 8].tolist()))
+
+
+class WindowReference:
+    """Window entropies one version lends the digest of a related one.
+
+    ``data`` is a version's bytes, ``starts`` the start of every anchored
+    window in it (ascending, uint32) and ``entropies`` each window's
+    entropy — what a :class:`StreamingDigestState` computed while the
+    version streamed.  Given one, :func:`digest_many` cuts its input and
+    ``data`` into content-defined chunks, and every window of the input
+    inside a chunk that ``data`` holds byte for byte takes the lent
+    entropy; the rest are computed.  An anchor decision reads only a
+    window's 8 context bytes and its entropy only its 64 bytes, and
+    :func:`_window_entropies` gives a window the same float64 whatever
+    call computes it, so equal chunks hold the same windows at the same
+    relative offsets with the same entropies: the digest is bit for bit
+    the one computed from scratch.  The chunk rule decides only how much
+    is reused.  ``reused`` and ``computed`` count the windows each way.
+    """
+
+    __slots__ = ("data", "starts", "entropies", "reused", "computed",
+                 "_table")
+
+    def __init__(self, data: bytes, starts: np.ndarray,
+                 entropies: np.ndarray) -> None:
+        self.data = data
+        self.starts = starts
+        self.entropies = entropies
+        self.reused = 0
+        self.computed = 0
+        self._table: Optional[dict] = None
+
+    def shared(self, data: bytes, buf: np.ndarray,
+               starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The windows at ``starts`` in ``data`` (``buf`` is its array)
+        that lie inside a chunk this reference holds byte for byte, as
+        indices into ``starts`` and the matching indices into
+        ``self.starts``.  A window lies inside a chunk when its 8 context
+        bytes and its 64 bytes do."""
+        empty = np.zeros(0, dtype=np.int64)
+        if self.starts.size == 0:
+            return empty, empty
+        if self._table is None:
+            mine = np.frombuffer(self.data, dtype=np.uint8)
+            # a repeated chunk keeps its first copy: any equal one serves
+            self._table = {}
+            bounds = _chunk_bounds(mine.size,
+                                   _cut_candidates(mine, self.starts))
+            for head, key in _chunk_keys(mine, bounds):
+                self._table.setdefault(key, head)
+        table, theirs = self._table, self.data
+        own_heads, ref_heads, lengths = [], [], []
+        bounds = _chunk_bounds(buf.size, _cut_candidates(buf, starts))
+        for head, key in _chunk_keys(buf, bounds):
+            at = table.get(key)
+            n = key[0]
+            if at is not None and data[head:head + n] == theirs[at:at + n]:
+                own_heads.append(head)
+                ref_heads.append(at)
+                lengths.append(n)
+        if not lengths:
+            return empty, empty
+        own_heads = np.array(own_heads, dtype=np.int64)
+        ref_heads = np.array(ref_heads, dtype=np.int64)
+        tails = np.array(lengths, dtype=np.int64) - WINDOW
+        first = starts.searchsorted(own_heads + 8)
+        counts = starts.searchsorted(own_heads + tails, side="right") - first
+        # equal chunks anchor the same windows, so the reference's run
+        # starts at its chunk's first window and is as long
+        shift = self.starts.searchsorted(
+            (ref_heads + 8).astype(self.starts.dtype)) - first
+        own = np.arange(int(counts.sum())) + np.repeat(
+            first - (np.cumsum(counts) - counts), counts)
+        return own, own + np.repeat(shift, counts)
+
+
 # -- stage 3: popularity ------------------------------------------------------
 
 
@@ -353,7 +508,9 @@ def _popular(line: np.ndarray) -> np.ndarray:
             & (cand >= q[span + 1:]))
 
 
-def _select(blobs: List[bytes]) -> Tuple[bytes, np.ndarray, np.ndarray]:
+def _select(blobs: List[bytes],
+            reference: Optional[WindowReference] = None
+            ) -> Tuple[bytes, np.ndarray, np.ndarray]:
     """Feature selection over a batch, in one pass over its concatenation.
 
     Returns the concatenation, the start of each selected window in it
@@ -361,6 +518,8 @@ def _select(blobs: List[bytes]) -> Tuple[bytes, np.ndarray, np.ndarray]:
     counts when its 8-byte context and its window both lie inside one
     blob, and every blob's candidates sit on one line between -inf gaps
     of ``POPULARITY_SPAN``, so each blob gets the selection it gets alone.
+    With a ``reference``, windows in chunks it shares take its entropies
+    and only the rest are computed.
     """
     cat = b"".join(blobs)
     buf = np.frombuffer(cat, dtype=np.uint8)
@@ -378,7 +537,22 @@ def _select(blobs: List[bytes]) -> Tuple[bytes, np.ndarray, np.ndarray]:
     # candidate i of blob f sits at line[span:-span][i + span * f]: a gap
     # of span -inf values between neighbouring blobs
     slot = np.arange(starts.size) + span * file_of
-    line[span:-span][slot] = _window_entropies(buf, starts)
+    own = None
+    if reference is not None:
+        own, theirs = reference.shared(cat, buf, starts)
+        reference.reused += own.size
+        reference.computed += starts.size - own.size
+    if own is None or own.size == 0:
+        ent = _span_entropies(buf, starts, offsets, file_of)
+    else:
+        ent = np.empty(starts.size, dtype=np.float64)
+        ent[own] = reference.entropies[theirs]
+        todo = np.ones(starts.size, dtype=bool)
+        todo[own] = False
+        todo = np.flatnonzero(todo)
+        ent[todo] = _span_entropies(buf, starts[todo], offsets,
+                                    file_of[todo])
+    line[span:-span][slot] = ent
     keep = _popular(line)[slot]
     return cat, starts[keep], file_of[keep]
 
@@ -431,7 +605,9 @@ def sdhash(data: bytes) -> Optional[SdDigest]:
 _BATCH_SPAN_BYTES = 4 << 20
 
 
-def _digest_group(blobs: List[bytes]) -> List[Optional[SdDigest]]:
+def _digest_group(blobs: List[bytes],
+                  reference: Optional[WindowReference] = None
+                  ) -> List[Optional[SdDigest]]:
     """One batched pass over blobs that all meet ``MIN_DIGEST_BYTES``.
 
     Selection runs over the concatenation (:func:`_select`); each blob's
@@ -441,7 +617,7 @@ def _digest_group(blobs: List[bytes]) -> List[Optional[SdDigest]]:
     """
     F = len(blobs)
     out: List[Optional[SdDigest]] = [None] * F
-    cat, starts, file_of = _select(blobs)
+    cat, starts, file_of = _select(blobs, reference)
     if starts.size == 0:
         return out
     # feature j of blob f goes to filter filt_base[f] + (j - the blob's
@@ -465,13 +641,16 @@ def _digest_group(blobs: List[bytes]) -> List[Optional[SdDigest]]:
     return out
 
 
-def digest_many(contents) -> List[Optional[SdDigest]]:
+def digest_many(contents, reference: Optional[WindowReference] = None
+                ) -> List[Optional[SdDigest]]:
     """Digest a batch of buffers in one vectorised pass per size group.
 
     Returns one entry per input, in order: ``None`` exactly where
     :func:`sdhash` returns None (input under ``MIN_DIGEST_BYTES`` or too
     few selected features), otherwise an :class:`SdDigest` bit-identical
     to ``sdhash(content)`` — same filters, feature count, and hexdigest.
+    A ``reference`` (:class:`WindowReference`) lends the entropies of the
+    windows the inputs share with a related version, and counts them.
     """
     results: List[Optional[SdDigest]] = [None] * len(contents)
     pending_idx: List[int] = []
@@ -482,14 +661,15 @@ def digest_many(contents) -> List[Optional[SdDigest]]:
         if len(blob) < MIN_DIGEST_BYTES:
             continue
         if pending and pending_bytes + len(blob) > _BATCH_SPAN_BYTES:
-            for j, dig in zip(pending_idx, _digest_group(pending)):
+            for j, dig in zip(pending_idx,
+                              _digest_group(pending, reference)):
                 results[j] = dig
             pending_idx, pending, pending_bytes = [], [], 0
         pending_idx.append(i)
         pending.append(blob)
         pending_bytes += len(blob)
     if pending:
-        for j, dig in zip(pending_idx, _digest_group(pending)):
+        for j, dig in zip(pending_idx, _digest_group(pending, reference)):
             results[j] = dig
     return results
 
@@ -539,9 +719,16 @@ class StreamingDigestState:
       no numpy work — for a writer whose digest no close will read; such
       a state cannot :meth:`finalize`.
 
-    Memory is O(1) in stream length once streaming: a 71-byte tail,
-    ≤ ``span`` pending windows, <160 pending feature positions, plus the
-    finished filters (256 B / 160 features).
+    Once streaming, the pipeline's own state is O(1) in stream length: a
+    71-byte tail, ≤ ``span`` pending windows, <160 pending feature
+    positions, plus the finished filters (256 B / 160 features).  The
+    stream also keeps every window it computed, its start (uint32) and
+    its entropy (float64), 12 bytes a window: about 0.75 byte per
+    streamed byte of text at one anchor in 16.
+    :meth:`window_reference` lends them to the digest of the version this
+    stream replaces.  They are dropped for good once keeping them would
+    pass 1 byte per streamed byte (a zero run anchors every offset), and
+    freed by :meth:`window_reference` and :meth:`finalize`.
 
     A running ``blake2b-16`` mirrors :class:`~repro.core.filestate.DigestCache`
     keys in every mode, so the close path gets its cache key in O(1) and
@@ -549,10 +736,11 @@ class StreamingDigestState:
     """
 
     __slots__ = ("total", "min_stream_bytes", "streaming", "consumed",
-                 "chunks_consumed", "n_features",
+                 "chunks_consumed", "n_features", "retained_bytes",
                  "_streamed", "_finalized", "_chunks",
                  "_tail", "_left", "_pend_ent", "_pend_win",
-                 "_rows", "_counts", "_pos_rows", "_pos_count", "_hasher")
+                 "_rows", "_counts", "_pos_rows", "_pos_count", "_hasher",
+                 "_seen_starts", "_seen_ent")
 
     def __init__(self, min_stream_bytes: Optional[int] = 0) -> None:
         #: bytes received so far (every mode)
@@ -578,6 +766,12 @@ class StreamingDigestState:
         self._pos_rows: List[np.ndarray] = []
         self._pos_count = 0
         self._hasher = hashlib.blake2b(digest_size=16)
+        #: every computed window's start and entropy, per chunk; None once
+        #: dropped or handed out
+        self._seen_starts: Optional[List[np.ndarray]] = []
+        self._seen_ent: List[np.ndarray] = []
+        #: bytes those lists hold
+        self.retained_bytes = 0
 
     def update(self, chunk) -> None:
         """Consume the next appended chunk (must be the bytes written at
@@ -598,6 +792,19 @@ class StreamingDigestState:
         """The :class:`DigestCache` key of the bytes seen so far."""
         return self._hasher.copy().digest()
 
+    def window_reference(self, data: bytes) -> WindowReference:
+        """The windows this stream computed, lent over ``data`` — the
+        bytes it saw — to the digest of the version they replace.  The
+        stream keeps none of them afterwards.  The reference holds no
+        window when the stream never ran the pipeline or dropped them."""
+        starts, ent = self._seen_starts, self._seen_ent
+        self._drop_windows()
+        if not starts:
+            return WindowReference(data, np.zeros(0, dtype=np.uint32),
+                                   np.zeros(0))
+        return WindowReference(data, np.concatenate(starts),
+                               np.concatenate(ent))
+
     def finalize(self) -> Optional[SdDigest]:
         """Close the stream and return the digest (None exactly where
         ``sdhash`` returns None).  O(tail); callable once."""
@@ -608,6 +815,7 @@ class StreamingDigestState:
                                "digest to finalize")
         if not self.streaming:
             self._begin_streaming()
+        self._drop_windows()
         self._finalized = True
         self.consumed = True
         # decide the held-back candidates against -inf right padding,
@@ -648,11 +856,32 @@ class StreamingDigestState:
         # (earlier ones were decided by the chunk that completed them)
         starts = starts[starts + (base + WINDOW) > t_old]
         if starts.size:
-            self._advance(combined, starts.tolist(),
-                          _window_entropies(buf, starts))
+            ent = _window_entropies(buf, starts)
+            if self._seen_starts is not None:
+                self._retain(starts, base, ent, t_new)
+            self._advance(combined, starts.tolist(), ent)
         self._streamed = t_new
         self._tail = combined[max(0, len(combined) - _STREAM_TAIL):]
         self.chunks_consumed += 1
+
+    def _retain(self, starts: np.ndarray, base: int, ent: np.ndarray,
+                streamed: int) -> None:
+        """Keep a chunk's windows (``starts`` at ``base`` in the stream),
+        or drop every kept one for good when they would pass 1 byte per
+        streamed byte (or a uint32 offset)."""
+        kept = self.retained_bytes + starts.size * (4 + 8)
+        if kept > streamed or streamed > 0xFFFFFFFF:
+            self._drop_windows()
+            return
+        self._seen_starts.append(np.add(starts, base, dtype=np.uint32,
+                                        casting="unsafe"))
+        self._seen_ent.append(ent)
+        self.retained_bytes = kept
+
+    def _drop_windows(self) -> None:
+        self._seen_starts = None
+        self._seen_ent = []
+        self.retained_bytes = 0
 
     def _advance(self, combined: bytes, starts: List[int],
                  ent: np.ndarray) -> None:
@@ -727,7 +956,7 @@ def compare(a: Optional[SdDigest], b: Optional[SdDigest]) -> Optional[int]:
 
     The arithmetic mirrors :meth:`BloomFilter.similarity` operation for
     operation, so scores are bit-identical to the scalar per-pair loop in
-    ``tests/reference.py`` and to :func:`compare_many`.
+    ``tests/reference.py``.
     """
     if a is None or b is None:
         return None
@@ -755,48 +984,14 @@ def _score_ints(small: SdDigest, large: SdDigest) -> int:
     return int(round(100 * sum(scores) / len(scores)))
 
 
-def _score_stacked(pairs) -> List[int]:
-    """Scores of ordered ``(small, large)`` pairs that all share one
-    (filters, filters) shape, in one batched popcount pass."""
-    smalls = np.stack([s.packed_matrix() for s, _ in pairs])
-    larges = np.stack([l.packed_matrix() for _, l in pairs])
-    inter = packed_popcount(smalls[:, :, None, :] & larges[:, None, :, :])
-    pa = np.stack([s.popcounts() for s, _ in pairs])[:, :, None]
-    pb = np.stack([l.popcounts() for _, l in pairs])[:, None, :]
-    expected = pa * pb / FILTER_BITS
-    max_overlap = np.minimum(pa, pb)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = (inter - expected) / (max_overlap - expected)
-        sim = np.where((pa == 0) | (pb == 0) | (max_overlap <= expected),
-                       0.0, np.clip(raw, 0.0, 1.0))
-    # the final mean is a sequential Python sum over each row's floats
-    return [int(round(100 * sum(scores) / len(scores)))
-            for scores in sim.max(axis=2).tolist()]
-
-
 def compare_many(pairs) -> List[Optional[int]]:
-    """Score a batch of digest pairs, bit-identical to :func:`compare`.
+    """Score a batch of digest pairs: :func:`compare` on each.
 
     ``pairs`` is a sequence of ``(a, b)`` digests; either element may be
-    None, which yields None for that pair.  Pairs whose ordered digests
-    share a (filters, filters) shape are stacked and scored in a single
-    popcount pass — one numpy dispatch amortised over the whole group
-    instead of one per pair.
+    None, which yields None for that pair.  Each digest's int rows are
+    built once and kept, so a digest met in many pairs is unpacked once.
     """
-    results: List[Optional[int]] = [None] * len(pairs)
-    groups: dict = {}
-    for p, (a, b) in enumerate(pairs):
-        if a is None or b is None:
-            continue
-        small, large = _ordered(a, b)
-        groups.setdefault((len(small), len(large)), []).append(
-            (p, small, large))
-    for members in groups.values():
-        scores = _score_stacked([(small, large)
-                                 for _, small, large in members])
-        for (p, _, _), score in zip(members, scores):
-            results[p] = score
-    return results
+    return [compare(a, b) for a, b in pairs]
 
 
 def compare_bytes(x: bytes, y: bytes) -> Optional[int]:

@@ -352,6 +352,12 @@ def engine_snapshot(engine,
         "streams abandoned for the whole-content path, per reason")
     for reason, count in sorted(streaming["fallbacks"].items()):
         fallbacks.set(count, reason=reason)
+    windows = registry.gauge(
+        "cryptodrop_stream_baseline_windows",
+        "windows of streamed comparisons' baseline digests, taken from "
+        "the stream or computed")
+    windows.set(streaming["baseline_windows_reused"], source="reused")
+    windows.set(streaming["baseline_windows_computed"], source="computed")
     registry.gauge(
         "cryptodrop_scheduler_pending_bytes",
         "content bytes retained by deferred (pending) inspections"

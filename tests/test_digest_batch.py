@@ -171,8 +171,8 @@ class _TermLookups:
 class TestEntropyWork:
     """The window-entropy pass histograms only the byte range a digest's
     windows can reach: ASCII text fills at most 120 bins per window,
-    ciphertext all 256, bytes from one end group 8.  A work count, not a
-    timing."""
+    ciphertext all 256, bytes from one end group 8, and each blob of a
+    batch its own range.  A work count, not a timing."""
 
     @staticmethod
     def _cells_per_window(monkeypatch, content):
@@ -192,6 +192,24 @@ class TestEntropyWork:
     def test_ciphertext_fills_all_256_bins_per_window(self, monkeypatch):
         content = GOLDEN_INPUTS["cipher/300000"]
         assert self._cells_per_window(monkeypatch, content) == 256
+
+    def test_a_mixed_batch_fills_each_blobs_own_range(self, monkeypatch):
+        # one binary blob must not widen the text blobs' windows to 256
+        blobs = [GOLDEN_INPUTS["text/300000"], GOLDEN_INPUTS["cipher/300000"],
+                 GOLDEN_INPUTS["text/65536"]]
+        own = 0
+        for blob in blobs:
+            buf = np.frombuffer(blob, np.uint8)
+            width = ((int(buf.max()) | 7) + 1) - (int(buf.min()) & ~7)
+            own += _anchor_positions(buf).size * width
+        spy = _TermLookups()
+        with monkeypatch.context() as patch:
+            patch.setattr(importlib.import_module("repro.simhash.sdhash"),
+                          "np", spy)
+            digests = digest_many(blobs)
+        assert spy.cells == own
+        assert [d.hexdigest() for d in digests] == \
+            [sdhash(blob).hexdigest() for blob in blobs]
 
     def test_an_end_group_fills_eight_bins_per_window(self, monkeypatch):
         # one extreme byte value is not the whole range
@@ -409,9 +427,9 @@ class TestSchedulerMechanics:
         batches = []
         real_many = schedule.digest_many
 
-        def recording_many(contents):
+        def recording_many(contents, **kwargs):
             batches.append(list(contents))
-            return real_many(contents)
+            return real_many(contents, **kwargs)
 
         monkeypatch.setattr(schedule, "digest_many", recording_many)
         size = 20_000

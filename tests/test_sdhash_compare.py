@@ -1,11 +1,11 @@
-"""The two scoring paths against the scalar reference.
+"""The scoring paths against the scalar reference.
 
-:func:`compare` scores a pair on Python ints (``_score_ints``);
-:func:`compare_many` scores same-shape pairs through the batched popcount
-(``_score_stacked``).  Both must give the scalar per-pair loop's score
-(``tests/reference.py``) on every pair, including filters that take the
-``pa == 0`` and ``max_overlap <= expected`` branches of the similarity
-formula, which kernel digests rarely reach and which are built here with
+:func:`compare` scores a pair on Python ints (``_score_ints``), and
+:func:`compare_many` calls it on each pair of a batch.  Both must give
+the scalar per-pair loop's score (``tests/reference.py``) on every pair,
+including filters that take the ``pa == 0`` and
+``max_overlap <= expected`` branches of the similarity formula, which
+kernel digests rarely reach and which are built here with
 :meth:`SdDigest.from_state`.
 """
 
@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 
 from repro.corpus.wordlists import paragraphs
 from repro.simhash.bloom import FILTER_BITS, MAX_FEATURES
-from repro.simhash.sdhash import (SdDigest, _ordered, _score_ints,
-                                  _score_stacked, compare, compare_many,
-                                  sdhash)
+from repro.simhash.sdhash import (SdDigest, _ordered, _score_ints, compare,
+                                  compare_many, sdhash)
 from tests.reference import compare_scalar
 
 _FILTER_BYTES = FILTER_BITS // 8
@@ -85,7 +84,6 @@ def test_both_paths_match_the_scalar_reference(pair):
     want = compare_scalar(a, b)
     small, large = _ordered(a, b)
     assert _score_ints(small, large) == want
-    assert _score_stacked([(small, large)]) == [want]
     assert compare(a, b) == compare(b, a) == want
     assert compare_many([(a, b), (b, a), (None, a)]) == [want, want, None]
 
@@ -100,8 +98,8 @@ def test_degenerate_branches_on_each_path(shape):
     b = _digest((sparse[::-1] + [FULL, EMPTY])[:shape[1]])
     small, large = _ordered(a, b)
     want = compare_scalar(a, b)
-    assert _score_ints(small, large) == _score_stacked(
-        [(small, large)])[0] == compare(a, b) == want
+    assert _score_ints(small, large) == compare(a, b) == want
+    assert compare_many([(a, b), (b, a)]) == [want, want]
 
 
 def test_kernel_digests_on_both_paths():
@@ -115,5 +113,5 @@ def test_kernel_digests_on_both_paths():
             small, large = _ordered(a, b)
             want = compare_scalar(a, b)
             assert _score_ints(small, large) == want
-            assert _score_stacked([(small, large)]) == [want]
+            assert compare_many([(a, b)]) == [want]
             assert compare(a, b) == want

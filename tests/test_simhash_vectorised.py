@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.corpus.wordlists import paragraphs
-from repro.simhash.bloom import BloomFilter, feature_positions, packed_popcount
+from repro.simhash.bloom import BloomFilter, feature_positions
 from repro.simhash.sdhash import (_ENTROPY_TERMS, WINDOW, SdDigest,
                                   StreamingDigestState, _select_features,
                                   _window_entropies, compare, digest_many,
@@ -106,14 +106,6 @@ def test_feature_positions_match_scalar_bloom():
     for feature, row in zip(features, rows):
         assert sorted(BloomFilter.positions(
             hashlib.sha1(feature).digest())) == sorted(row.tolist())
-
-
-def test_packed_popcount_matches_bits():
-    filt = BloomFilter()
-    rng = random.Random(5)
-    for _ in range(80):
-        filt.add(rng.randbytes(20))
-    assert packed_popcount(filt.packed()) == int(filt.bits.sum())
 
 
 def test_state_roundtrip_preserves_packed_matrix():

@@ -314,6 +314,10 @@ class TestEngineSnapshot:
                 streaming["finalized"],
             'cryptodrop_stream_digest_fallbacks{reason="nonsequential"}':
                 streaming["fallbacks"]["nonsequential"],
+            'cryptodrop_stream_baseline_windows{source="reused"}':
+                streaming["baseline_windows_reused"],
+            'cryptodrop_stream_baseline_windows{source="computed"}':
+                streaming["baseline_windows_computed"],
             "cryptodrop_scheduler_pending_bytes":
                 stats["scheduler"]["pending_bytes"],
             "cryptodrop_store_page_ins": page_ins,

@@ -333,9 +333,9 @@ class TestStreamedCloseWork:
             sizes.append(len(content))
             return real_sdhash(content)
 
-        def counting_many(contents):
+        def counting_many(contents, **kwargs):
             sizes.extend(len(content) for content in contents)
-            return real_many(contents)
+            return real_many(contents, **kwargs)
 
         monkeypatch.setattr(filestate, "_sdhash", counting_sdhash)
         monkeypatch.setattr(schedule, "digest_many", counting_many)

@@ -75,7 +75,7 @@ perfbench-pairs:
 		--pairs $(N) --base $(BASE) $(if $(CLAIM),--claim $(CLAIM))
 
 # base-vs-change kernel pairs: BASE=<commit> FN=<sdhash|window_entropies|
-# digest_many> INPUT=<text|cipher|save|unrelated>:<size>[,<size>...]
+# digest_many|stream> INPUT=<text|cipher|save|unrelated>:<size>[,<size>...]
 # [PAIRS=40].  Loads BASE's (git archive) and the working tree's
 # repro/simhash in one process, frees one 16 MiB block first (the
 # allocator state perfbench's set-up leaves), alternates the two trees'

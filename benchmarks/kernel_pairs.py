@@ -27,7 +27,11 @@ leg whose calls still fault.
   windows (the anchors are found outside the timed call);
 * ``digest_many`` — ``digest_many([old])``, handed a
   ``WindowReference`` built from the stream of the input's new version
-  when the input has one and the tree's kernel takes it.
+  when the input has one and the tree's kernel takes it;
+* ``stream`` — a ``StreamingDigestState()`` fed ``old`` in 64 KiB
+  chunks, then ``finalize()``.  The chunks are cut outside the timed
+  call.  Every tree's no-argument constructor digests from byte 0, so
+  any base that has the class can be timed.
 
 ``--input`` is ``kind:size[,size...]``; each size (bytes, or with a
 ``K`` or ``M`` suffix) is one leg.  Kinds: ``text`` (bulk_append's
@@ -57,7 +61,9 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 ROOT = Path(__file__).resolve().parents[1]
 KINDS = ("text", "cipher", "save", "unrelated")
-KERNELS = ("sdhash", "window_entropies", "digest_many")
+KERNELS = ("sdhash", "window_entropies", "digest_many", "stream")
+#: the write size ``stream`` feeds, bulk_append's
+STREAM_CHUNK = 64 << 10
 
 
 class Case(NamedTuple):
@@ -139,11 +145,21 @@ def prepare(mod, kernel: str, case: Case) -> Callable[[], object]:
         buf = np.frombuffer(old, dtype=np.uint8)
         starts = mod._anchor_positions(buf)
         return lambda: mod._window_entropies(buf, starts)
+    if kernel == "stream":
+        chunks = [old[at:at + STREAM_CHUNK]
+                  for at in range(0, len(old), STREAM_CHUNK)]
+
+        def stream():
+            state = mod.StreamingDigestState()
+            for chunk in chunks:
+                state.update(chunk)
+            return state.finalize()
+        return stream
     if case.new is None or not hasattr(mod, "WindowReference"):
         return lambda: mod.digest_many([old])
     state = mod.StreamingDigestState()
-    for at in range(0, len(case.new), 64 << 10):
-        state.update(case.new[at:at + (64 << 10)])
+    for at in range(0, len(case.new), STREAM_CHUNK):
+        state.update(case.new[at:at + STREAM_CHUNK])
     lent = state.window_reference(case.new)
     # a fresh reference per call: keying the new version's chunks is
     # part of what a comparison pays

@@ -106,14 +106,6 @@ class CryptoDropConfig:
     #: LRU entries in the content-hash digest cache (0 disables caching);
     #: hits skip re-identifying and re-digesting bytes already inspected
     digest_cache_entries: int = 256
-    #: append-only writes whose close will compare are digested
-    #: incrementally as they land (sdhash backend), making a large
-    #: sequential writer's close O(tail).  Below this many written bytes
-    #: a handle's stream stays *buffered* (chunk refs only, zero numpy
-    #: work per write) — protects small-file campaign throughput;
-    #: crossing the threshold replays the buffer through the incremental
-    #: pipeline.  Handles whose close will not compare never digest.
-    stream_digest_min_bytes: int = 1 << 20
     #: captures defer their digests until a comparison needs them; when
     #: the deferred ``pending_content`` bytes exceed this watermark the
     #: InspectionScheduler flushes its oldest records until they fit

@@ -48,6 +48,10 @@ from .scoring import Scoreboard
 
 __all__ = ["AnalysisEngine"]
 
+#: bytes a comparing handle writes before its stream runs the digest
+#: pipeline; below them it keeps only its key (no numpy work per write)
+STREAM_DIGEST_MIN_BYTES = 1 << 20
+
 
 class _ProcessState:
     """Per-process-family indicator accumulators."""
@@ -92,8 +96,8 @@ class AnalysisEngine(FilterDriver):
         #: incremental close-path digests: append-only write streams feed
         #: a per-handle StreamingDigestState, which keeps the content key
         #: running and — for a handle whose close will compare — builds
-        #: the digest so finalising at close is O(tail) instead of
-        #: O(file).  sdhash-only (the ctph backend has no incremental
+        #: the digest as writes land, so finalising at close never re-reads
+        #: the file.  sdhash-only (the ctph backend has no incremental
         #: kernel); any non-append access falls back to the whole-content
         #: path, counted per reason in stream_fallbacks.
         self._stream_writes = (self.config.enable_similarity
@@ -317,10 +321,11 @@ class AnalysisEngine(FilterDriver):
         Anything else drops the stream — close then takes the
         whole-content path, so correctness never depends on the pattern.
 
-        Only a handle whose close will compare (:meth:`_compares`) runs
-        the digest pipeline, from ``stream_digest_min_bytes`` on; any
-        other keeps just the running key and byte count, since nothing
-        reads its digest at close.
+        A stream keeps just its running key and byte count until a write
+        takes a handle whose close will compare (:meth:`_compares`) to
+        ``STREAM_DIGEST_MIN_BYTES``; it then digests from the node's bytes
+        before that write, which this sole sequential writer wrote.  No
+        other handle digests: nothing reads its digest at close.
         """
         node_id, handle_id = op.node_id, op.handle_id
         if node_id is None or handle_id is None:
@@ -334,14 +339,10 @@ class AnalysisEngine(FilterDriver):
             if (owner is not None or op.offset != 0
                     or len(op.data) > self.config.max_inspect_bytes):
                 return
-            state = StreamingDigestState(
-                self.config.stream_digest_min_bytes
-                if self._compares(self.cache.get(node_id)) else None)
-            state.update(op.data)
-            self._streams[handle_id] = (node_id, state)
+            entry = self._streams[handle_id] = (
+                node_id, StreamingDigestState(streaming=False))
             self._stream_nodes[node_id] = handle_id
             self.streams_started += 1
-            return
         s_node, state = entry
         if s_node != node_id:
             self._drop_stream(handle_id, "node_mismatch")
@@ -353,6 +354,18 @@ class AnalysisEngine(FilterDriver):
             # the close path won't digest oversize content anyway
             self._drop_stream(handle_id, "oversize")
             return
+        if (not state.streaming
+                and state.total + len(op.data) >= STREAM_DIGEST_MIN_BYTES
+                and self._compares(self.cache.get(node_id))):
+            try:
+                node = self.vfs.peek_node(op.path)
+            except FsError:
+                node = None
+            if (node is None or node.node_id != node_id
+                    or node.size < state.total):
+                self._drop_stream(handle_id, "node_mismatch")
+                return
+            state.start(node.read_bytes(0, state.total))
         state.update(op.data)
 
     def _drop_stream(self, handle_id: int,
@@ -419,8 +432,8 @@ class AnalysisEngine(FilterDriver):
                 # close never hashes them again
                 key = stream.key()
                 if not stream.streaming:
-                    # key-only or buffered: no numpy work to finish, the
-                    # whole-content path costs the same (not a fallback)
+                    # key-only: no numpy work to finish, the whole-content
+                    # path costs the same (not a fallback)
                     stream = None
             else:
                 # the file holds bytes this stream never saw (pre-existing
@@ -501,7 +514,7 @@ class AnalysisEngine(FilterDriver):
         version's digest is requested only when this close will compare
         against a digestable baseline; otherwise it is deferred until
         something consumes it — except when a ``stream`` that did
-        numpy work is in hand: finalising it now costs O(tail), so
+        numpy work is in hand: finalising it now re-reads nothing, so
         deferring (and later re-reading the whole file) would only waste
         the incremental work.  ``key`` is the content key a write stream
         kept running, so the close never hashes the content again.  A

@@ -408,6 +408,11 @@ class VirtualFileSystem:
             dst_parent.put(dst.name, node)
             if node_id is not None:
                 self.handles.repath_node(node_id, dst)
+                return
+            for handle in self.handles.open_handles():
+                if handle.path.is_within(src):
+                    handle.path = dst.joinpath(
+                        *handle.path.relative_parts(src))
 
         self._dispatch(op, action)
 

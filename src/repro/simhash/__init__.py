@@ -7,13 +7,12 @@ for ablation experiments.
 
 from .bloom import BITS_PER_FEATURE, FILTER_BITS, MAX_FEATURES, BloomFilter
 from .sdhash import (ANCHOR_MASK, MIN_DIGEST_BYTES, WINDOW, SdDigest,
-                     compare, compare_bytes, compare_many, digest_many,
-                     sdhash)
+                     compare, digest_many, sdhash)
 from .ssdeep import MIN_INPUT, CtphSignature, compare_signatures, ctph
 
 __all__ = [
     "ANCHOR_MASK", "BITS_PER_FEATURE", "BloomFilter", "CtphSignature",
     "FILTER_BITS", "MAX_FEATURES", "MIN_DIGEST_BYTES", "MIN_INPUT",
-    "SdDigest", "WINDOW", "compare", "compare_bytes", "compare_many",
-    "compare_signatures", "ctph", "digest_many", "sdhash",
+    "SdDigest", "WINDOW", "compare", "compare_signatures", "ctph",
+    "digest_many", "sdhash",
 ]

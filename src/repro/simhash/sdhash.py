@@ -33,14 +33,15 @@ Each stage has one implementation, which :func:`sdhash`,
 anchor scan (:func:`_anchor_starts`, wrapping uint8 sums), the window
 entropies (:func:`_window_entropies`), the popularity rule
 (:func:`_popular`, shifted maxima over a line of entropies) and the
-feature emission (:func:`_feature_positions` hashes slices of one bytes
-object, :func:`_bloom_rows` scatters every filter of a batch into one
+feature emission (:func:`_sha1s` hashes the selected windows into one
+buffer, :func:`_bloom_rows` scatters every filter of a buffer into one
 bit matrix and packs it once).  :func:`sdhash` is the batched kernel run
-on a batch of one.  A :class:`WindowReference` — the window entropies a
-stream computed for a related version — lets :func:`digest_many` skip
-the entropy of every window inside a content-defined chunk the two
-versions share byte for byte.  :func:`compare` scores a pair on Python
-ints, and :func:`compare_many` calls it per pair.
+on a batch of one; a stream collects its features' SHA-1s as it goes
+and builds its filters once, at :meth:`~StreamingDigestState.finalize`.
+A :class:`WindowReference` — the window entropies a stream computed for
+a related version — lets :func:`digest_many` skip the entropy of every
+window inside a content-defined chunk the two versions share byte for
+byte.  :func:`compare` scores a pair on Python ints.
 The per-feature / per-pair scalar reading of the same definition lives
 in ``tests/reference.py``; the golden equivalence tests
 (``tests/test_simhash_vectorised.py``) pin the two bit-identical,
@@ -57,7 +58,7 @@ import numpy as np
 
 from .bloom import FILTER_BITS, MAX_FEATURES, BloomFilter, feature_positions
 
-__all__ = ["SdDigest", "sdhash", "compare", "digest_many", "compare_many",
+__all__ = ["SdDigest", "sdhash", "compare", "digest_many",
            "StreamingDigestState", "WindowReference",
            "MIN_DIGEST_BYTES", "WINDOW", "ANCHOR_MASK"]
 
@@ -218,9 +219,9 @@ def _anchor_positions(buf: np.ndarray) -> np.ndarray:
 #: calling log2 on a mostly-zero (windows, bins) matrix is what makes
 #: feature selection fast, while every summed term stays bit-identical.
 _ENTROPY_TERMS = np.zeros(WINDOW + 1, dtype=np.float64)
-_counts = np.arange(1, WINDOW + 1, dtype=np.float64)
-_ENTROPY_TERMS[1:] = (_counts / WINDOW) * np.log2(_counts / WINDOW)
-del _counts
+_p = np.arange(1, WINDOW + 1, dtype=np.float64) / WINDOW
+_ENTROPY_TERMS[1:] = _p * np.log2(_p)
+del _p
 
 
 #: row-block size for the per-window histograms: a small block keeps each
@@ -566,20 +567,19 @@ def _select_features(data: bytes) -> List[bytes]:
 # -- stage 4: feature emission ------------------------------------------------
 
 
-def _feature_positions(windows: List[bytes]) -> np.ndarray:
-    """``(k, BITS_PER_FEATURE)`` Bloom bit positions of each window's
-    SHA-1."""
+def _sha1s(windows: List[bytes]) -> bytes:
+    """Each window's SHA-1, concatenated: 20 bytes a feature."""
     sha1 = hashlib.sha1
-    raw = b"".join([sha1(window).digest() for window in windows])
-    return feature_positions(np.frombuffer(raw, dtype=np.uint8)
-                             .reshape(-1, 20))
+    return b"".join([sha1(window).digest() for window in windows])
 
 
-def _bloom_rows(positions: np.ndarray, filt_of: np.ndarray,
+def _bloom_rows(sha1s: bytes, filt_of: np.ndarray,
                 n_filters: int) -> Tuple[np.ndarray, List[int]]:
-    """Every feature's bits scattered into its filter's row of one
-    ``(n_filters, FILTER_BITS)`` matrix, packed once: the packed rows
-    and each filter's feature count."""
+    """Every feature of ``sha1s`` (:func:`_sha1s`) scattered into its
+    filter's row of one ``(n_filters, FILTER_BITS)`` matrix, packed once:
+    the packed rows and each filter's feature count."""
+    positions = feature_positions(np.frombuffer(sha1s, dtype=np.uint8)
+                                  .reshape(-1, 20))
     bits = np.zeros((n_filters, FILTER_BITS), dtype=bool)
     bits.reshape(-1)[(filt_of[:, None] * FILTER_BITS
                       + positions).reshape(-1)] = True
@@ -631,7 +631,7 @@ def _digest_group(blobs: List[bytes],
                                      - first_feat[file_of]) // MAX_FEATURES)
     feats, first_filt = per_blob.tolist(), filt_base.tolist()
     packed, counts = _bloom_rows(
-        _feature_positions([cat[s:s + WINDOW] for s in starts.tolist()]),
+        _sha1s([cat[s:s + WINDOW] for s in starts.tolist()]),
         filt_of, first_filt[-1])
     for k, n in enumerate(feats):
         if n >= MIN_FEATURES:
@@ -685,9 +685,9 @@ class StreamingDigestState:
     """Incremental :func:`sdhash` over an append-only byte stream.
 
     Feed write chunks with :meth:`update` as they land; :meth:`finalize`
-    returns the digest in O(tail) — it never re-reads the stream.  The
-    result is **bit-identical** to ``sdhash(whole_buffer)`` for every
-    chunking of the same bytes (pinned by ``tests/test_streaming_digest.py``):
+    returns the digest without re-reading the stream.  The result is
+    **bit-identical** to ``sdhash(whole_buffer)`` for every chunking of
+    the same bytes (pinned by ``tests/test_streaming_digest.py``):
 
     * anchors: a candidate window starting at absolute offset ``S`` is
       discovered in the chunk where ``S + WINDOW`` first fits the stream;
@@ -705,66 +705,60 @@ class StreamingDigestState:
       ``span`` most recent decided entropies are carried as left context
       (``-inf`` initially and as final right padding — exactly the
       whole-buffer padding),
-    * filters: features emit in order, and every ``MAX_FEATURES`` of them
-      are packed into one filter row, exactly as :func:`sdhash` chains
-      them.
+    * features: each decided window's SHA-1 joins one buffer in window
+      order (:func:`_sha1s`), and :meth:`finalize` chains the buffer
+      into filters of ``MAX_FEATURES`` with :func:`_bloom_rows`, exactly
+      as :func:`_digest_group` chains a blob's features.
 
-    ``min_stream_bytes`` sets how much work a write does:
+    ``StreamingDigestState()`` runs the pipeline from the first byte.
+    ``StreamingDigestState(streaming=False)`` keeps only the running key
+    and byte count — no numpy work, no chunk refs — and cannot
+    :meth:`finalize` until :meth:`start` hands it the ``total`` bytes it
+    has seen; the next :meth:`update` or :meth:`finalize` runs them
+    through the pipeline ahead of anything newer.
 
-    * ``0`` streams from the first byte;
-    * a positive threshold keeps the stream *buffered* — chunk refs only,
-      no numpy work per write — until the threshold is crossed (or
-      :meth:`finalize` is called), then replays it through the pipeline;
-    * ``None`` keeps only the running key and byte count — no chunk refs,
-      no numpy work — for a writer whose digest no close will read; such
-      a state cannot :meth:`finalize`.
-
-    Once streaming, the pipeline's own state is O(1) in stream length: a
-    71-byte tail, ≤ ``span`` pending windows, <160 pending feature
-    positions, plus the finished filters (256 B / 160 features).  The
-    stream also keeps every window it computed, its start (uint32) and
-    its entropy (float64), 12 bytes a window: about 0.75 byte per
-    streamed byte of text at one anchor in 16.
-    :meth:`window_reference` lends them to the digest of the version this
-    stream replaces.  They are dropped for good once keeping them would
-    pass 1 byte per streamed byte (a zero run anchors every offset), and
-    freed by :meth:`window_reference` and :meth:`finalize`.
+    Once streaming, the pipeline keeps a 71-byte tail, ≤ ``span``
+    held-back windows and a 20-byte SHA-1 per selected feature (about
+    0.14 byte per streamed byte of text).  The stream also keeps every
+    window it computed, its start (uint32) and its entropy (float64), 12
+    bytes a window: about 0.75 byte per streamed byte of text at one
+    anchor in 16.  :meth:`window_reference` lends them to the digest of
+    the version this stream replaces.  They are dropped for good once
+    keeping them would pass 1 byte per streamed byte (a zero run anchors
+    every offset), and freed by :meth:`window_reference` and
+    :meth:`finalize`.
 
     A running ``blake2b-16`` mirrors :class:`~repro.core.filestate.DigestCache`
     keys in every mode, so the close path gets its cache key in O(1) and
     never hashes the written bytes a second time.
     """
 
-    __slots__ = ("total", "min_stream_bytes", "streaming", "consumed",
-                 "chunks_consumed", "n_features", "retained_bytes",
-                 "_streamed", "_finalized", "_chunks",
-                 "_tail", "_left", "_pend_ent", "_pend_win",
-                 "_rows", "_counts", "_pos_rows", "_pos_count", "_hasher",
+    __slots__ = ("total", "streaming", "consumed", "chunks_consumed",
+                 "n_features", "retained_bytes", "_streamed", "_tail",
+                 "_left", "_pend_ent", "_pend_win", "_hashes", "_hasher",
                  "_seen_starts", "_seen_ent")
 
-    def __init__(self, min_stream_bytes: Optional[int] = 0) -> None:
+    def __init__(self, streaming: bool = True) -> None:
         #: bytes received so far (every mode)
         self.total = 0
-        self.min_stream_bytes = min_stream_bytes
-        #: True once numpy work happens per chunk
-        self.streaming = min_stream_bytes == 0
-        #: True once finalize() actually produced the digest incrementally
+        #: True while the pipeline runs: from the first byte or :meth:`start`
+        self.streaming = streaming
+        #: True once finalize() has produced the digest
         self.consumed = False
         self.chunks_consumed = 0
+        #: the digest's feature count, set by finalize()
         self.n_features = 0
+        #: bytes the pipeline has scanned
         self._streamed = 0
-        self._finalized = False
-        #: chunk refs while buffered; None when streaming or key-only
-        self._chunks: Optional[List[bytes]] = [] if min_stream_bytes else None
+        #: what new windows may reach back into: the last scanned
+        #: ``_STREAM_TAIL`` bytes, or a seed from :meth:`start`, none of
+        #: whose windows is scanned yet
         self._tail = b""
         self._left = np.full(POPULARITY_SPAN, -np.inf)
         self._pend_ent = np.zeros(0, dtype=np.float64)
         self._pend_win: List[bytes] = []
-        #: packed rows of the finished filters, and their feature counts
-        self._rows: List[np.ndarray] = []
-        self._counts: List[int] = []
-        self._pos_rows: List[np.ndarray] = []
-        self._pos_count = 0
+        #: the selected features' SHA-1s, in window order
+        self._hashes: List[bytes] = []
         self._hasher = hashlib.blake2b(digest_size=16)
         #: every computed window's start and entropy, per chunk; None once
         #: dropped or handed out
@@ -772,6 +766,16 @@ class StreamingDigestState:
         self._seen_ent: List[np.ndarray] = []
         #: bytes those lists hold
         self.retained_bytes = 0
+
+    def start(self, seen) -> None:
+        """Run a key-only state's pipeline from here on, beginning with
+        ``seen``: the ``total`` bytes it has hashed.  Nothing is scanned
+        here; the next :meth:`update` or :meth:`finalize` does it."""
+        if self.streaming or len(seen) != self.total:
+            raise ValueError(f"start() takes a key-only state's "
+                             f"{self.total} bytes seen")
+        self.streaming = True
+        self._tail = _as_bytes(seen)
 
     def update(self, chunk) -> None:
         """Consume the next appended chunk (must be the bytes written at
@@ -783,10 +787,6 @@ class StreamingDigestState:
         self.total += len(chunk)
         if self.streaming:
             self._consume(chunk)
-        elif self._chunks is not None:
-            self._chunks.append(chunk)
-            if self.total >= self.min_stream_bytes:
-                self._begin_streaming()
 
     def key(self) -> bytes:
         """The :class:`DigestCache` key of the bytes seen so far."""
@@ -807,52 +807,40 @@ class StreamingDigestState:
 
     def finalize(self) -> Optional[SdDigest]:
         """Close the stream and return the digest (None exactly where
-        ``sdhash`` returns None).  O(tail); callable once."""
-        if self._finalized:
+        ``sdhash`` returns None): the held-back windows are decided and
+        the filters built, nothing already streamed is read again.
+        Callable once."""
+        if self.consumed:
             raise RuntimeError("StreamingDigestState already finalized")
-        if self.min_stream_bytes is None:
+        if not self.streaming:
             raise RuntimeError("a key-only StreamingDigestState has no "
                                "digest to finalize")
-        if not self.streaming:
-            self._begin_streaming()
+        if self._streamed < self.total:
+            self._consume(b"")  # a seed no update has scanned
         self._drop_windows()
-        self._finalized = True
         self.consumed = True
         # decide the held-back candidates against -inf right padding,
-        # exactly the whole-buffer line's end
-        if self._pend_ent.size:
-            line = np.concatenate([self._left, self._pend_ent,
-                                   np.full(POPULARITY_SPAN, -np.inf)])
-            keep = np.flatnonzero(_popular(line)).tolist()
-            if keep:
-                self._emit([self._pend_win[i] for i in keep])
-            self._pend_ent = np.zeros(0, dtype=np.float64)
-            self._pend_win = []
-        if self.total < MIN_DIGEST_BYTES or self.n_features < MIN_FEATURES:
+        # exactly the whole-buffer line's end: span -inf candidates, which
+        # are never kept, so their (empty) windows are never hashed
+        self._advance(b"", [0] * POPULARITY_SPAN,
+                      np.full(POPULARITY_SPAN, -np.inf))
+        sha1s = b"".join(self._hashes)
+        n = self.n_features = len(sha1s) // 20
+        if self.total < MIN_DIGEST_BYTES or n < MIN_FEATURES:
             return None
-        if self._pos_count:
-            self._pack(self._pos_count)
-        packed = (self._rows[0] if len(self._rows) == 1
-                  else np.concatenate(self._rows))
-        return SdDigest(packed, list(self._counts), self.n_features,
-                        self.total)
+        packed, counts = _bloom_rows(sha1s, np.arange(n) // MAX_FEATURES,
+                                     -(-n // MAX_FEATURES))
+        return SdDigest(packed, counts, n, self.total)
 
     # -- internal pipeline ---------------------------------------------
 
-    def _begin_streaming(self) -> None:
-        chunks, self._chunks = self._chunks, None
-        self.streaming = True
-        for chunk in chunks:
-            self._consume(chunk)
-
     def _consume(self, chunk: bytes) -> None:
-        t_old = self._streamed
+        t_old, t_new = self._streamed, self.total
         combined = self._tail + chunk
-        t_new = t_old + len(chunk)
         base = t_new - len(combined)
         buf = np.frombuffer(combined, dtype=np.uint8)
         starts = _anchor_positions(buf)
-        # new windows only: those whose end first fits this chunk
+        # new windows only: those whose end lies past the scanned bytes
         # (earlier ones were decided by the chunk that completed them)
         starts = starts[starts + (base + WINDOW) > t_old]
         if starts.size:
@@ -886,8 +874,9 @@ class StreamingDigestState:
     def _advance(self, combined: bytes, starts: List[int],
                  ent: np.ndarray) -> None:
         """Decide every candidate that has ``POPULARITY_SPAN`` right
-        neighbours; hold back the rest.  The candidates are the held-back
-        windows, then this chunk's windows at ``starts`` in ``combined``."""
+        neighbours and hash the kept ones; hold back the rest.  The
+        candidates are the held-back windows, then this chunk's windows
+        at ``starts`` in ``combined``."""
         held = self._pend_win
         if held:
             ent = np.concatenate([self._pend_ent, ent])
@@ -903,33 +892,10 @@ class StreamingDigestState:
             line = np.concatenate([self._left, ent])
             self._left = line[decide:decide + POPULARITY_SPAN].copy()
             keep = np.flatnonzero(_popular(line)).tolist()
-            if keep:
-                self._emit([window(i) for i in keep])
+            self._hashes.append(_sha1s([window(i) for i in keep]))
         lo = max(decide, 0)
         self._pend_ent = ent[lo:].copy()
         self._pend_win = [window(i) for i in range(lo, ent.size)]
-
-    def _emit(self, windows: List[bytes]) -> None:
-        positions = _feature_positions(windows)
-        self._pos_rows.append(positions)
-        self._pos_count += positions.shape[0]
-        self.n_features += positions.shape[0]
-        if self._pos_count >= MAX_FEATURES:
-            self._pack(self._pos_count - self._pos_count % MAX_FEATURES)
-
-    def _pack(self, k: int) -> None:
-        """Pack the first ``k`` pending features into filter rows of
-        ``MAX_FEATURES`` each (the last may hold fewer)."""
-        stacked = (self._pos_rows[0] if len(self._pos_rows) == 1
-                   else np.concatenate(self._pos_rows))
-        packed, counts = _bloom_rows(stacked[:k],
-                                     np.arange(k) // MAX_FEATURES,
-                                     -(-k // MAX_FEATURES))
-        self._rows.append(packed)
-        self._counts.extend(counts)
-        rest = stacked[k:]
-        self._pos_rows = [rest] if rest.shape[0] else []
-        self._pos_count = int(rest.shape[0])
 
 
 # -- compare ------------------------------------------------------------------
@@ -982,18 +948,3 @@ def _score_ints(small: SdDigest, large: SdDigest) -> int:
                 best = raw
         scores.append(best)
     return int(round(100 * sum(scores) / len(scores)))
-
-
-def compare_many(pairs) -> List[Optional[int]]:
-    """Score a batch of digest pairs: :func:`compare` on each.
-
-    ``pairs`` is a sequence of ``(a, b)`` digests; either element may be
-    None, which yields None for that pair.  Each digest's int rows are
-    built once and kept, so a digest met in many pairs is unpacked once.
-    """
-    return [compare(a, b) for a, b in pairs]
-
-
-def compare_bytes(x: bytes, y: bytes) -> Optional[int]:
-    """Convenience one-shot comparison of two buffers."""
-    return compare(sdhash(x), sdhash(y))

@@ -13,6 +13,7 @@ import signal
 
 import pytest
 
+from repro.core import engine as engine_mod
 from repro.corpus import generate
 from repro.fs import DOCUMENTS, VirtualFileSystem
 from repro.sandbox import VirtualMachine
@@ -83,3 +84,14 @@ def vfs():
 def pid(vfs):
     """A running process on the empty filesystem."""
     return vfs.processes.spawn("test.exe").pid
+
+
+@pytest.fixture
+def stream_threshold(monkeypatch):
+    """Streams run the digest pipeline from a comparing handle's first
+    byte: ``STREAM_DIGEST_MIN_BYTES`` is 0 for the test.  The value is a
+    function that moves the threshold to another byte count."""
+    def move(nbytes: int) -> None:
+        monkeypatch.setattr(engine_mod, "STREAM_DIGEST_MIN_BYTES", nbytes)
+    move(0)
+    return move

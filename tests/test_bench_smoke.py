@@ -645,8 +645,9 @@ class TestStreamingDigestSection:
         assert streaming_digest["bytes_streamed"] >= \
             streaming_digest["file_bytes"]
 
-    def test_campaign_results_identical_streaming_on_off(self):
-        assert _matches_eager_reference(stream_digest_min_bytes=0)
+    def test_campaign_results_identical_streaming_on_off(
+            self, stream_threshold):
+        assert _matches_eager_reference()
 
     def test_streamed_close_wins(self, streaming_digest):
         # an 8 MiB file must already beat the whole-file digest clearly

@@ -85,6 +85,30 @@ class TestClassBTracking:
         assert monitor.detected
         assert monitor.engine.row_of(pid).union_fired
 
+    @pytest.mark.parametrize("move_parent", [False, True])
+    def test_parent_directory_move_mid_write_still_compares(self,
+                                                            move_parent):
+        """A handle whose parent directory is renamed while it is open
+        closes under the new path, and its close is inspected as if
+        nothing had moved."""
+        vfs = VirtualFileSystem()
+        vfs._ensure_dirs(DOCUMENTS / "Sub")
+        path = DOCUMENTS / "Sub" / "doc.txt"
+        vfs.peek_write(path, _text(7, 6000))
+        monitor = CryptoDropMonitor(vfs).attach()
+        pid = vfs.processes.spawn("mover.exe").pid
+        handle = vfs.open(pid, path, "rw")
+        data = vfs.read(pid, handle)
+        if move_parent:
+            vfs.rename(pid, DOCUMENTS / "Sub", DOCUMENTS / "Sub2")
+        vfs.seek(pid, handle, 0)
+        vfs.write(pid, handle, chacha20_xor(KEY, NONCE, data))
+        vfs.close(pid, handle)
+        row = monitor.engine.row_of(pid)
+        assert row.flags == {"entropy", "similarity", "type_change"}
+        assert monitor.score_of(pid) == 53.5
+        assert monitor.engine.bytes_closed == len(data)
+
 
 class TestClassCTracking:
     def test_move_over_links_and_detects(self, env):

@@ -85,6 +85,8 @@ def _drive(ops, config, cut=None):
 
 
 class TestOpSequences:
+    # streams from the first byte; patched once per test, not per example
+    @pytest.mark.usefixtures("stream_threshold")
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(ops=_ops, cut=st.one_of(st.none(), st.integers(0, 29)),
@@ -100,8 +102,7 @@ class TestOpSequences:
     @example(ops=[("write", "alpha.txt", b""), ("write", "alpha.txt", b"x")],
              cut=0, pending_cap=0, lru=0)
     def test_engine_matches_reference(self, ops, cut, pending_cap, lru):
-        config = CryptoDropConfig(stream_digest_min_bytes=0,
-                                  scheduler_pending_bytes_cap=pending_cap,
+        config = CryptoDropConfig(scheduler_pending_bytes_cap=pending_cap,
                                   digest_cache_entries=lru)
         production = _drive(ops, config, cut)
         with eager_reference():

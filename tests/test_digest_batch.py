@@ -1,8 +1,8 @@
 """Batched digest kernel + deferred inspection scheduler.
 
-* :func:`digest_many` / :func:`compare_many` must produce byte-identical
-  digests and integer scores to the per-file vectorised and scalar
-  implementations over ragged batches — empty inputs, sub-window blobs,
+* :func:`digest_many` must produce byte-identical digests (and so
+  integer scores) to the per-file vectorised and scalar implementations
+  over ragged batches — empty inputs, sub-window blobs,
   boundary sizes, multi-group spans.
 * The :class:`InspectionScheduler` must really route deferred captures
   through the batched kernel, flush on demand, and account its pending
@@ -32,7 +32,7 @@ from repro.entropy import (WeightedEntropyMean, corrected_entropies_from_histogr
                            corrected_entropy, corrected_entropy_from_counts,
                            histograms_many)
 from repro.fs import DOCUMENTS, ProcessSuspended, TEMP, VirtualFileSystem
-from repro.simhash import compare, compare_many, digest_many, sdhash
+from repro.simhash import digest_many, sdhash
 from repro.simhash.sdhash import MIN_DIGEST_BYTES, WINDOW, _anchor_positions
 
 from tests.reference import (detection_output, eager_reference,
@@ -217,22 +217,6 @@ class TestEntropyWork:
         for lo in (0, 248):
             content = rng.integers(lo, lo + 8, 20_000, np.uint8).tobytes()
             assert self._cells_per_window(monkeypatch, content) == 8, lo
-
-
-class TestCompareMany:
-    def test_empty(self):
-        assert compare_many([]) == []
-
-    def test_matches_pairwise_compare(self):
-        digests = [sdhash(b) for b in _ragged_batch()]
-        pairs = [(a, b) for a in digests for b in digests]
-        scores = compare_many(pairs)
-        assert scores == [compare(a, b) for a, b in pairs]
-
-    def test_none_pairs_score_like_compare(self):
-        d = sdhash(_text(4))
-        pairs = [(None, None), (d, None), (None, d), (d, d)]
-        assert compare_many(pairs) == [compare(a, b) for a, b in pairs]
 
 
 @pytest.fixture
@@ -434,7 +418,7 @@ class TestSchedulerMechanics:
         monkeypatch.setattr(schedule, "digest_many", recording_many)
         size = 20_000
         files = [_text(90 + i, size)[:size] for i in range(6)]
-        # new files below stream_digest_min_bytes: each close defers
+        # new files, which never digest as they stream: each close defers
         vfs, monitor, pid = env(scheduler_pending_bytes_cap=3 * size)
         scheduler = monitor.engine.scheduler
         for i, content in enumerate(files):

@@ -205,6 +205,21 @@ class TestRename:
         assert handle.path == DOCUMENTS / "b"
         vfs.close(pid, handle)
 
+    def test_rename_directory_updates_open_handle_paths_under_it(self, vfs,
+                                                                 pid):
+        vfs.mkdir(pid, DOCUMENTS / "Sub")
+        vfs.mkdir(pid, DOCUMENTS / "Sub" / "Deep")
+        vfs.write_file(pid, DOCUMENTS / "Sub" / "Deep" / "a", b"1")
+        vfs.write_file(pid, DOCUMENTS / "Subway", b"2")
+        inner = vfs.open(pid, DOCUMENTS / "Sub" / "Deep" / "a", "r")
+        beside = vfs.open(pid, DOCUMENTS / "Subway", "r")
+        vfs.rename(pid, DOCUMENTS / "sub", DOCUMENTS / "Sub2")
+        assert inner.path == DOCUMENTS / "Sub2" / "Deep" / "a"
+        assert beside.path == DOCUMENTS / "Subway"
+        assert vfs.read(pid, inner) == b"1"
+        vfs.close(pid, inner)
+        vfs.close(pid, beside)
+
     def test_rename_missing_raises(self, vfs, pid):
         with pytest.raises(FileNotFound):
             vfs.rename(pid, DOCUMENTS / "ghost", DOCUMENTS / "x")

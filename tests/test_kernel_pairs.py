@@ -2,9 +2,11 @@
 
 The timer's verdicts (medians, differences, pairs won, faults and
 system time per call, the fault flag) and its input parsing are checked
-here on measurements written by hand, so no kernel is timed.
+here on measurements written by hand, so no kernel is timed.  The
+calls it times are checked for what they compute.
 """
 
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -75,3 +77,12 @@ class TestInputs:
         assert kernel_pairs.make_case("text", 5000).new is None
         assert kernel_pairs.make_case("cipher", 5000).old != \
             kernel_pairs.make_case("text", 5000).old
+
+
+class TestKernels:
+    def test_the_stream_kernel_digests_like_sdhash(self):
+        mod = importlib.import_module("repro.simhash.sdhash")
+        case = kernel_pairs.make_case("text", 300_000)
+        got = kernel_pairs.prepare(mod, "stream", case)()
+        assert got.hexdigest() == mod.sdhash(case.old).hexdigest()
+        assert got.n_features == mod.sdhash(case.old).n_features

@@ -256,10 +256,11 @@ class TestEngineSnapshot:
     """``engine_snapshot`` scrapes exactly what ``stats()`` reports, plus
     the attached store's page-ins."""
 
-    def test_gauges_mirror_stats(self, corpus, mmap_store):
+    def test_gauges_mirror_stats(self, corpus, mmap_store,
+                                 stream_threshold):
         machine = VirtualMachine(corpus, baseline_store=mmap_store)
         monitor = CryptoDropMonitor(
-            machine.vfs, CryptoDropConfig(stream_digest_min_bytes=0),
+            machine.vfs, CryptoDropConfig(),
             baseline_store=mmap_store).attach()
         vfs, docs = machine.vfs, machine.docs_root
         pid = vfs.processes.spawn("editor.exe").pid

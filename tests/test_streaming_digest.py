@@ -15,6 +15,7 @@ The contract under test, layer by layer:
   runs and under an injected-fault chaos campaign.
 """
 
+import importlib
 import random
 
 import pytest
@@ -56,8 +57,8 @@ def _random_chunks(content, seed):
     return out
 
 
-def _stream(chunks, min_stream_bytes=0):
-    state = StreamingDigestState(min_stream_bytes=min_stream_bytes)
+def _stream(chunks, streaming=True):
+    state = StreamingDigestState(streaming=streaming)
     for chunk in chunks:
         state.update(chunk)
     return state
@@ -144,28 +145,42 @@ class TestBitIdentity:
             state.finalize()
 
 
-class TestBufferedMode:
+class TestSeededStart:
+    """A key-only state, and its start from the bytes it has seen: what
+    the engine does when a comparing handle reaches the threshold."""
+
     def test_threshold_crossing_preserves_identity(self):
         content = _text(8, 20_000)
         ref = sdhash(content)
-        for threshold in (1, 100, 5000, len(content), len(content) + 1,
-                          10 ** 9):
-            state = _stream(_chunked(content, 777),
-                            min_stream_bytes=threshold)
-            assert state.streaming == (threshold <= len(content))
+        chunks = _chunked(content, 777)
+        for at in (0, 1, 3, 10, len(chunks) - 1, len(chunks)):
+            state = _stream(chunks[:at], streaming=False)
+            state.start(content[:state.total])
+            for chunk in chunks[at:]:
+                state.update(chunk)
+            assert state.streaming
+            # at len(chunks), finalize itself scans the whole seed
             _assert_same(state.finalize(), ref)
 
-    def test_buffered_until_threshold(self):
-        state = StreamingDigestState(min_stream_bytes=1000)
-        state.update(b"a" * 999)
+    def test_start_takes_exactly_the_bytes_seen(self):
+        state = _stream([b"a" * 999], streaming=False)
         assert not state.streaming
-        state.update(b"b")  # crosses: replays the buffered refs
-        assert state.streaming
+        with pytest.raises(ValueError):
+            state.start(b"a" * 998)
+        state.start(b"a" * 999)
+        assert state.streaming and state.total == 999
+        # start scans nothing: the next update takes the seed and its own
+        # chunk in one pass
+        assert state.chunks_consumed == 0
+        with pytest.raises(ValueError):
+            state.start(b"a" * 999)
+        state.update(b"b")
+        assert state.chunks_consumed == 1
         assert state.total == 1000
 
     def test_key_only_keeps_no_chunks(self):
         content = _text(9, 20_000)
-        state = _stream(_chunked(content, 777), min_stream_bytes=None)
+        state = _stream(_chunked(content, 777), streaming=False)
         assert not state.streaming
         assert state.chunks_consumed == 0
         assert state.total == len(content)
@@ -175,14 +190,14 @@ class TestBufferedMode:
 
 
 @pytest.fixture
-def env():
-    def make(**overrides):
+def env(stream_threshold):
+    def make(stream_min_bytes=0, **overrides):
+        stream_threshold(stream_min_bytes)
         vfs = VirtualFileSystem()
         vfs._ensure_dirs(DOCUMENTS)
         vfs._ensure_dirs(TEMP)
         for i in range(12):
             vfs.peek_write(DOCUMENTS / f"doc{i}.txt", _text(i))
-        overrides.setdefault("stream_digest_min_bytes", 0)
         config = CryptoDropConfig(telemetry_enabled=True, **overrides)
         monitor = CryptoDropMonitor(vfs, config=config).attach()
         pid = vfs.processes.spawn("sample.exe").pid
@@ -302,17 +317,19 @@ class TestEngineStreaming:
         assert stats["finalized"] == 0
 
     def test_buffered_below_threshold_is_not_a_fallback(self, env):
-        vfs, monitor, pid = env(stream_digest_min_bytes=1 << 20)
+        vfs, monitor, pid = env(stream_min_bytes=1 << 20)
         _append_file(vfs, pid, DOCUMENTS / "small.txt",
                      _chunked(_text(52, 5000), 512))
         stats = monitor.engine.stream_stats()
         assert stats["started"] >= 1
-        # never crossed the threshold: no numpy work was done, the close
-        # takes the whole-content path without counting a fallback
+        # never crossed the threshold: the stream kept only its key, and
+        # the close takes the whole-content path without counting a
+        # fallback
         assert stats["finalized"] == 0
         assert stats["fallbacks"] == {}
 
 
+@pytest.mark.usefixtures("stream_threshold")
 class TestStreamedCloseWork:
     """What a streamed close saves, counted rather than timed: every
     whole-buffer digest the engine can take (``inspect``'s live sdhash
@@ -347,8 +364,7 @@ class TestStreamedCloseWork:
         the digest under test."""
         vfs = VirtualFileSystem()
         vfs._ensure_dirs(DOCUMENTS)
-        config = CryptoDropConfig(stream_digest_min_bytes=0,
-                                  digest_cache_entries=0,
+        config = CryptoDropConfig(digest_cache_entries=0,
                                   max_inspect_bytes=2 * self.SIZE)
         monitor = CryptoDropMonitor(vfs, config).attach()
         pid = vfs.processes.spawn("writer.exe").pid
@@ -412,7 +428,7 @@ class TestDigestOnlyWhatIsCompared:
         return calls
 
     def test_new_file_defers_with_its_running_key(self, env, work):
-        vfs, monitor, pid = env(stream_digest_min_bytes=8 * 1024)
+        vfs, monitor, pid = env(stream_min_bytes=8 * 1024)
         content = _text(55, 40_000)
         path = DOCUMENTS / "export.txt"
         handle = vfs.open(pid, path, "w", create=True, truncate=True)
@@ -434,7 +450,7 @@ class TestDigestOnlyWhatIsCompared:
 
     def test_comparing_close_below_threshold_reuses_running_key(
             self, env, work):
-        vfs, monitor, pid = env(stream_digest_min_bytes=1 << 20)
+        vfs, monitor, pid = env(stream_min_bytes=1 << 20)
         content = _text(56, 20_000)
         path = DOCUMENTS / "doc3.txt"
         # the truncating open captures the previous version's key
@@ -443,7 +459,7 @@ class TestDigestOnlyWhatIsCompared:
         for chunk in _chunked(content, 4096):
             vfs.write(pid, handle, chunk)
         vfs.close(pid, handle)
-        # buffered below the threshold: the close digests the whole
+        # key-only below the threshold: the close digests the whole
         # content, keyed by the stream's running hash alone
         assert work == {"consume": 0, "key_bytes": []}
         record = monitor.engine.cache.get(vfs.peek_stat(path).node_id)
@@ -451,6 +467,109 @@ class TestDigestOnlyWhatIsCompared:
         found = monitor.engine.cache.digest_cache.get(
             DigestCache.key(content))
         assert found is not None and found.digest is record.base_digest
+
+
+class TestSeedFromTheNode:
+    """A comparing handle's stream keeps only its key until a write
+    reaches the threshold; the engine then starts it from the node's
+    bytes before that write, which this sole sequential writer wrote."""
+
+    @pytest.fixture
+    def seeds(self, monkeypatch):
+        """Every ``seen`` a stream is started with."""
+        seen = []
+        start = StreamingDigestState.start
+
+        def recording_start(state, data):
+            seen.append(bytes(data))
+            return start(state, data)
+
+        monkeypatch.setattr(StreamingDigestState, "start", recording_start)
+        return seen
+
+    @pytest.mark.parametrize("size", [999, 4096, 10_000, 65_536])
+    def test_crossing_mid_chunk_digests_the_whole_content(self, env, seeds,
+                                                          size):
+        vfs, monitor, pid = env(stream_min_bytes=10_000)
+        content = _text(57, 30_000)
+        path = DOCUMENTS / "doc4.txt"  # planted: its rewrite compares
+        _append_file(vfs, pid, path, _chunked(content, size))
+        # the seed is every byte before the write that reached 10,000
+        assert seeds == [content[:len(seeds[0])]]
+        assert len(seeds[0]) < 10_000 <= len(seeds[0]) + size
+        stats = monitor.engine.stream_stats()
+        assert stats["finalized"] == 1 and stats["fallbacks"] == {}
+        record = monitor.engine.cache.get(vfs.peek_stat(path).node_id)
+        assert record.base_digest.hexdigest() == sdhash(content).hexdigest()
+
+    def test_partial_rewrite_seeds_only_the_written_prefix(self, env, seeds):
+        vfs, monitor, pid = env(stream_min_bytes=8 * 1024)
+        path = DOCUMENTS / "long.txt"
+        old, new = _text(58, 40_000), _text(59, 20_000)
+        vfs.peek_write(path, old)
+        handle = vfs.open(pid, path, "rw")  # no truncation
+        for chunk in _chunked(new, 4096):
+            vfs.write(pid, handle, chunk)
+        vfs.close(pid, handle)
+        assert seeds == [new[:4096]]
+        stats = monitor.engine.stream_stats()
+        assert stats["fallbacks"] == {"length_mismatch": 1}
+        assert stats["finalized"] == 0
+        closed = vfs.peek_read(path)
+        assert closed == new + old[len(new):]
+        monitor.flush_inspections()
+        record = monitor.engine.cache.get(vfs.peek_stat(path).node_id)
+        assert record.base_digest.hexdigest() == sdhash(closed).hexdigest()
+
+    def test_every_pipeline_step_runs_inside_update_or_finalize(
+            self, env, monkeypatch):
+        """perfbench times a stream as its ``update`` and ``finalize``
+        calls: the seed's scan must fall inside them too."""
+        sd = importlib.import_module("repro.simhash.sdhash")
+        running, steps, updated = [], {}, []
+
+        def entry(name, real):
+            def wrapper(*args, **kwargs):
+                running.append(name)
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    running.pop()
+            return wrapper
+
+        def step(real):
+            def wrapper(*args, **kwargs):
+                where = running[-1] if running else None
+                steps[where] = steps.get(where, 0) + 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        update = StreamingDigestState.update
+
+        def counting_update(state, chunk):
+            updated.append(len(chunk))
+            return update(state, chunk)
+
+        monkeypatch.setattr(StreamingDigestState, "update",
+                            entry("update", counting_update))
+        monkeypatch.setattr(StreamingDigestState, "finalize",
+                            entry("finalize", StreamingDigestState.finalize))
+        monkeypatch.setattr(sd, "_digest_group",
+                            entry("batch", sd._digest_group))
+        for name in ("_anchor_positions", "_window_entropies", "_popular",
+                     "_sha1s", "_bloom_rows"):
+            monkeypatch.setattr(sd, name, step(getattr(sd, name)))
+        vfs, monitor, pid = env(stream_min_bytes=8 * 1024)
+        content = _text(60, 40_000)
+        path = DOCUMENTS / "doc5.txt"
+        _append_file(vfs, pid, path, _chunked(content, 4096))
+        assert monitor.engine.stream_stats()["finalized"] == 1
+        assert None not in steps
+        assert steps["update"] > 0 and steps["finalize"] > 0
+        # ``simhash.stream.bytes`` counts each written byte once
+        assert sum(updated) == len(content)
+        record = monitor.engine.cache.get(vfs.peek_stat(path).node_id)
+        assert record.base_digest.hexdigest() == sdhash(content).hexdigest()
 
 
 class TestStreamingIdentity:
@@ -478,7 +597,7 @@ class TestStreamingIdentity:
 
     @pytest.mark.chaos
     def test_chaos_campaign_verdicts_identical_streaming_on_off(
-            self, machine):
+            self, machine, stream_threshold):
         def verdict(result):
             return (result.sample_name, result.detected, result.suspended,
                     result.files_lost, result.score, result.threshold,
@@ -490,7 +609,7 @@ class TestStreamingIdentity:
         plan = transient_faults(seed=41, deny_rate=0.05,
                                 short_read_rate=0.05,
                                 latency_spike_rate=0.02)
-        config = CryptoDropConfig(stream_digest_min_bytes=0)
+        config = CryptoDropConfig()
 
         def sweep():
             injector = FaultInjector(plan)
@@ -516,8 +635,7 @@ class TestStreamingIdentity:
         assert before["finalized"] >= 1
         restored = CryptoDropMonitor.from_checkpoint(
             VirtualFileSystem(), monitor.checkpoint(),
-            config=CryptoDropConfig(telemetry_enabled=True,
-                                    stream_digest_min_bytes=0))
+            config=CryptoDropConfig(telemetry_enabled=True))
         after = restored.engine.stream_stats()
         for key in ("started", "finalized", "bytes_streamed", "fallbacks"):
             assert after[key] == before[key]

@@ -120,9 +120,10 @@ class TestDisabledPath:
         assert off.telemetry is None
         assert on.telemetry is not None
 
-    #: a tiny digest LRU and streams from the first byte, so a detection
-    #: also reaches the eviction, stream and batch-flush emit sites
-    BUSY = dict(digest_cache_entries=2, stream_digest_min_bytes=0)
+    #: a tiny digest LRU and (through the ``stream_threshold`` fixture)
+    #: streams from the first byte, so a detection also reaches the
+    #: eviction, stream and batch-flush emit sites
+    BUSY = dict(digest_cache_entries=2)
 
     @pytest.fixture
     def instrument_calls(self, monkeypatch):
@@ -145,7 +146,8 @@ class TestDisabledPath:
         return calls
 
     def test_disabled_engine_makes_no_instrument_calls(self, machine,
-                                                       instrument_calls):
+                                                       instrument_calls,
+                                                       stream_threshold):
         off = CryptoDropConfig(**self.BUSY)
         run_sample(machine, teslacrypt_sample(), off)
         assert instrument_calls == []
@@ -157,7 +159,8 @@ class TestDisabledPath:
         assert on.telemetry["bus"]["emitted"] == len(
             [name for name in instrument_calls if name == "EventBus.emit"])
 
-    def test_stats_identical_with_and_without(self, machine):
+    def test_stats_identical_with_and_without(self, machine,
+                                              stream_threshold):
         # telemetry observes the engine; it never changes what it counts
         stats = []
         for config in (CryptoDropConfig(**self.BUSY),

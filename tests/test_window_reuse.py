@@ -277,8 +277,9 @@ class TestRetainedMemory:
         assert state.retained_bytes == 0
 
     @pytest.fixture
-    def streams(self, monkeypatch):
-        """Weak references to every stream the engine starts."""
+    def streams(self, monkeypatch, stream_threshold):
+        """Weak references to every stream the engine starts, each
+        running the pipeline from its first byte."""
         made = []
 
         class Watched(StreamingDigestState):
@@ -293,8 +294,7 @@ class TestRetainedMemory:
     def _monitor():
         vfs = VirtualFileSystem()
         vfs._ensure_dirs(DOCUMENTS)
-        config = CryptoDropConfig(stream_digest_min_bytes=0)
-        monitor = CryptoDropMonitor(vfs, config).attach()
+        monitor = CryptoDropMonitor(vfs, CryptoDropConfig()).attach()
         pid = vfs.processes.spawn("editor.exe").pid
         rng = random.Random(12)
         path = DOCUMENTS / "report.txt"
@@ -346,7 +346,8 @@ class TestRetainedMemory:
 
 class TestEngineReuse:
     """A 1.5 MiB in-place save with the default configuration: the
-    stream buffers to ``stream_digest_min_bytes``, then streams."""
+    stream keeps only its key up to ``STREAM_DIGEST_MIN_BYTES``, then
+    starts from the node's bytes and streams."""
 
     @pytest.fixture(scope="class")
     def saved(self):

@@ -75,16 +75,20 @@ perfbench-pairs:
 		--pairs $(N) --base $(BASE) $(if $(CLAIM),--claim $(CLAIM))
 
 # base-vs-change kernel pairs: BASE=<commit> FN=<sdhash|window_entropies|
-# digest_many|stream> INPUT=<text|cipher|save|unrelated>:<size>[,<size>...]
-# [PAIRS=40].  Loads BASE's (git archive) and the working tree's
-# repro/simhash in one process, frees one 16 MiB block first (the
-# allocator state perfbench's set-up leaves), alternates the two trees'
-# calls and prints per leg the median per-call time, the difference,
-# the share of pairs won and minor faults / system time per call
+# digest_many|stream|compare> INPUT=<text|cipher|save|unrelated>:<size>
+# [,<size>...] [PAIRS=40] [CONTROL=1].  Loads BASE's (git archive) and the
+# working tree's repro/simhash in one process, frees one 16 MiB block
+# first (the allocator state perfbench's set-up leaves), alternates the
+# two trees' calls and prints per leg the median per-call time, the
+# difference, the share of pairs won and minor faults / system time per
+# call.  FN=compare scores the input's old and new digests, built
+# outside the timed call (INPUT=save:1.4M,2.5M,3.9M; cipher:4K is 1x1).
+# CONTROL=1 loads BASE a second time and prints BASE against itself
+# (ratio, pairs won) next to each leg: the drift with no code change
 PAIRS ?= 40
 kernel-pairs:
 	python3 benchmarks/kernel_pairs.py --base $(BASE) --fn $(FN) \
-		--input $(INPUT) --pairs $(PAIRS)
+		--input $(INPUT) --pairs $(PAIRS) $(if $(CONTROL),--control)
 
 # the EXPERIMENTS.md headline end to end: the full-scale Table I run
 # (492/492 detected, median 10 files lost, range 0-42), minus its timing

@@ -2,8 +2,9 @@
 working tree, called alternately in one process.
 
     python3 benchmarks/kernel_pairs.py --base HEAD --fn digest_many \
-        --input save:1M,2.5M,4M --pairs 40
-    make kernel-pairs BASE=HEAD FN=digest_many INPUT=save:1M,2.5M,4M
+        --input save:1M,2.5M,4M --pairs 40 [--control]
+    make kernel-pairs BASE=HEAD FN=digest_many INPUT=save:1M,2.5M,4M \
+        [CONTROL=1]
 
 Run it from the repository root.  The base tree is extracted with
 ``git archive`` into a temporary directory, and each tree's
@@ -27,11 +28,17 @@ leg whose calls still fault.
   windows (the anchors are found outside the timed call);
 * ``digest_many`` — ``digest_many([old])``, handed a
   ``WindowReference`` built from the stream of the input's new version
-  when the input has one and the tree's kernel takes it;
+  when the input has one and the tree's kernel takes it.  Each call
+  gets a fresh reference made from every field that tree's
+  ``window_reference`` hands over (its constructor's parameters);
 * ``stream`` — a ``StreamingDigestState()`` fed ``old`` in 64 KiB
   chunks, then ``finalize()``.  The chunks are cut outside the timed
   call.  Every tree's no-argument constructor digests from byte 0, so
-  any base that has the class can be timed.
+  any base that has the class can be timed;
+* ``compare`` — ``compare(sdhash(old), sdhash(new))``, both digests
+  built outside the timed call; an input with no new version compares
+  ``old`` with its bytes reversed (``cipher:4K`` is a 1×1 filter
+  pair, ``save:1.4M`` about 66×66).
 
 ``--input`` is ``kind:size[,size...]``; each size (bytes, or with a
 ``K`` or ``M`` suffix) is one leg.  Kinds: ``text`` (bulk_append's
@@ -43,12 +50,20 @@ generator as the new version).
 For each leg it prints both trees' median time per call, the change's
 difference from the base, the share of pairs in which the change was
 faster, and each tree's minor faults and system time per call.
+
+``--control`` loads the base tree a second time and times it as a third
+side, each round taking the three in one of their six orders in turn.
+Each leg then also prints the base against itself (ratio and pairs
+won): how far a reading drifts with no code change, to judge the
+change's ratio against.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import inspect
+import itertools
 import random
 import resource
 import statistics
@@ -61,7 +76,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 ROOT = Path(__file__).resolve().parents[1]
 KINDS = ("text", "cipher", "save", "unrelated")
-KERNELS = ("sdhash", "window_entropies", "digest_many", "stream")
+KERNELS = ("sdhash", "window_entropies", "digest_many", "stream",
+           "compare")
 #: the write size ``stream`` feeds, bulk_append's
 STREAM_CHUNK = 64 << 10
 
@@ -155,16 +171,22 @@ def prepare(mod, kernel: str, case: Case) -> Callable[[], object]:
                 state.update(chunk)
             return state.finalize()
         return stream
+    if kernel == "compare":
+        a = mod.sdhash(old)
+        b = mod.sdhash(old[::-1] if case.new is None else case.new)
+        return lambda: mod.compare(a, b)
     if case.new is None or not hasattr(mod, "WindowReference"):
         return lambda: mod.digest_many([old])
     state = mod.StreamingDigestState()
     for at in range(0, len(case.new), STREAM_CHUNK):
         state.update(case.new[at:at + STREAM_CHUNK])
     lent = state.window_reference(case.new)
+    fields = [getattr(lent, name) for name in
+              inspect.signature(mod.WindowReference).parameters]
     # a fresh reference per call: keying the new version's chunks is
     # part of what a comparison pays
-    return lambda: mod.digest_many([old], reference=mod.WindowReference(
-        lent.data, lent.starts, lent.entropies))
+    return lambda: mod.digest_many([old],
+                                   reference=mod.WindowReference(*fields))
 
 
 def _timed(call: Callable[[], object]) -> tuple:
@@ -179,15 +201,16 @@ def _timed(call: Callable[[], object]) -> tuple:
 
 
 def run_leg(calls: Dict[str, Callable[[], object]], pairs: int) -> dict:
-    """Alternate the two trees' calls ``pairs`` times (which goes first
-    alternates too) after one warm-up call each; every call's
-    measurements per side."""
+    """Call every side once per round, ``pairs`` rounds, after one
+    warm-up call each; round ``i`` takes the sides in the ``i``-th of
+    their orders in turn (two sides alternate which goes first).  Every
+    call's measurements per side."""
     for call in calls.values():
         call()
-    out: Dict[str, List[tuple]] = {"base": [], "change": []}
+    out: Dict[str, List[tuple]] = {side: [] for side in calls}
+    orders = list(itertools.permutations(calls))
     for i in range(pairs):
-        order = ("base", "change") if i % 2 == 0 else ("change", "base")
-        for side in order:
+        for side in orders[i % len(orders)]:
             out[side].append(_timed(calls[side]))
     return out
 
@@ -216,18 +239,24 @@ def summarise(base: Sequence[tuple], change: Sequence[tuple]) -> dict:
 
 
 def render(rows: List[tuple]) -> str:
-    """``(leg name, summary)`` rows as a table."""
+    """``(leg name, summary[, control summary])`` rows as a table; a
+    control summary (the base against itself) adds its ratio and pairs
+    won."""
+    control = any(len(row) > 2 for row in rows)
     out = [f"{'leg':<20} {'base ms':>10} {'change ms':>10} {'diff ms':>9} "
-           f"{'ratio':>6} {'won':>5}  {'faults/call':>15}  "
-           f"{'sys ms/call':>15}"]
-    for name, row in rows:
+           f"{'ratio':>6} {'won':>5}  "
+           + (f"{'ctrl ratio':>10} {'won':>5}  " if control else "")
+           + f"{'faults/call':>15}  {'sys ms/call':>15}"]
+    for name, row, *ctrl in rows:
         flag = "  FAULTS" if row["faulted"] else ""
         out.append(
             f"{name:<20} {row['base_s'] * 1e3:>10.3f} "
             f"{row['change_s'] * 1e3:>10.3f} {row['diff_s'] * 1e3:>+9.3f} "
             f"{row['ratio']:>6.3f} {row['won']:>5.0%}  "
-            f"{row['faults']['base']:>7.1f}/{row['faults']['change']:<7.1f}  "
-            f"{row['stime_s']['base'] * 1e3:>7.3f}/"
+            + (f"{ctrl[0]['ratio']:>10.3f} {ctrl[0]['won']:>5.0%}  "
+               if ctrl else "")
+            + f"{row['faults']['base']:>7.1f}/{row['faults']['change']:<7.1f}"
+            f"  {row['stime_s']['base'] * 1e3:>7.3f}/"
             f"{row['stime_s']['change'] * 1e3:<7.3f}{flag}")
     return "\n".join(out)
 
@@ -248,6 +277,8 @@ def main(argv=None) -> int:
     parser.add_argument("--input", required=True,
                         help="kind:size[,size...], one leg per size")
     parser.add_argument("--pairs", type=int, default=40)
+    parser.add_argument("--control", action="store_true",
+                        help="also time the base against itself")
     args = parser.parse_args(argv)
     kind, sizes = parse_input(args.input)
     # leave the allocator as perfbench's set-up does: once a freed block
@@ -260,18 +291,24 @@ def main(argv=None) -> int:
         _extract(args.base, Path(tmp))
         mods = {"base": load_simhash(Path(tmp), "_kernel_base_simhash"),
                 "change": load_simhash(ROOT, "_kernel_change_simhash")}
+        if args.control:
+            mods["control"] = load_simhash(Path(tmp),
+                                           "_kernel_control_simhash")
         for size in sizes:
             case = make_case(kind, size)
             calls = {side: prepare(mod, args.fn, case)
                      for side, mod in mods.items()}
             runs = run_leg(calls, args.pairs)
-            rows.append((case.name, summarise(runs["base"],
-                                              runs["change"])))
+            row = (case.name, summarise(runs["base"], runs["change"]))
+            if args.control:
+                row += (summarise(runs["base"], runs["control"]),)
+            rows.append(row)
             print(render(rows[-1:]).splitlines()[-1], flush=True)
-    print(f"{args.fn} {args.input}: {args.base} vs working tree, "
-          f"{args.pairs} alternating pairs per leg")
+    print(f"{args.fn} {args.input}: {args.base} vs working tree"
+          + (f" (control: {args.base} vs itself)" if args.control else "")
+          + f", {args.pairs} alternating rounds per leg")
     print(render(rows))
-    faulted = [name for name, row in rows if row["faulted"]]
+    faulted = [name for name, row, *_ in rows if row["faulted"]]
     if faulted:
         print("kernel-pairs: calls faulted in " + ", ".join(faulted))
     return 0

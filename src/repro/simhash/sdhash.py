@@ -38,10 +38,13 @@ buffer, :func:`_bloom_rows` scatters every filter of a buffer into one
 bit matrix and packs it once).  :func:`sdhash` is the batched kernel run
 on a batch of one; a stream collects its features' SHA-1s as it goes
 and builds its filters once, at :meth:`~StreamingDigestState.finalize`.
-A :class:`WindowReference` — the window entropies a stream computed for
-a related version — lets :func:`digest_many` skip the entropy of every
+A :class:`WindowReference` — the window entropies and feature SHA-1s a
+stream computed for a related version — lets :func:`digest_many` skip
+the entropy, and the SHA-1 where the stream selected it, of every
 window inside a content-defined chunk the two versions share byte for
-byte.  :func:`compare` scores a pair on Python ints.
+byte.  :func:`compare` scores a pair on Python ints, or, from
+``_WORDS_MIN_PAIRS`` filter pairs on, with one popcount over the AND of
+every pair's uint64 words.
 The per-feature / per-pair scalar reading of the same definition lives
 in ``tests/reference.py``; the golden equivalence tests
 (``tests/test_simhash_vectorised.py``) pin the two bit-identical,
@@ -408,34 +411,54 @@ def _chunk_keys(buf: np.ndarray, bounds: np.ndarray):
 
 
 class WindowReference:
-    """Window entropies one version lends the digest of a related one.
+    """Window entropies and SHA-1s one version lends the digest of a
+    related one.
 
     ``data`` is a version's bytes, ``starts`` the start of every anchored
-    window in it (ascending, uint32) and ``entropies`` each window's
-    entropy — what a :class:`StreamingDigestState` computed while the
-    version streamed.  Given one, :func:`digest_many` cuts its input and
-    ``data`` into content-defined chunks, and every window of the input
-    inside a chunk that ``data`` holds byte for byte takes the lent
-    entropy; the rest are computed.  An anchor decision reads only a
-    window's 8 context bytes and its entropy only its 64 bytes, and
-    :func:`_window_entropies` gives a window the same float64 whatever
-    call computes it, so equal chunks hold the same windows at the same
-    relative offsets with the same entropies: the digest is bit for bit
-    the one computed from scratch.  The chunk rule decides only how much
-    is reused.  ``reused`` and ``computed`` count the windows each way.
+    window in it (ascending, uint32), ``entropies`` each window's entropy
+    and ``sha1s`` the SHA-1s of the windows it selected, in window order,
+    as far as it has decided them (20 bytes a feature) — what a
+    :class:`StreamingDigestState` computed while the version streamed.
+    Given one, :func:`digest_many` cuts its input and ``data`` into
+    content-defined chunks, and every window of the input inside a chunk
+    that ``data`` holds byte for byte takes the lent entropy, and its
+    SHA-1 too when this version selected it; the rest are computed.  An
+    anchor decision reads only a window's 8 context bytes and its
+    entropy and SHA-1 only its 64 bytes, and :func:`_window_entropies`
+    gives a window the same float64 whatever call computes it, so equal
+    chunks hold the same windows at the same relative offsets with the
+    same entropies: the digest is bit for bit the one computed from
+    scratch.  The chunk rule decides only how much is reused.
+    ``reused`` and ``computed`` count the windows each way.
     """
 
-    __slots__ = ("data", "starts", "entropies", "reused", "computed",
-                 "_table")
+    __slots__ = ("data", "starts", "entropies", "sha1s", "reused",
+                 "computed", "_table", "_rows")
 
     def __init__(self, data: bytes, starts: np.ndarray,
-                 entropies: np.ndarray) -> None:
+                 entropies: np.ndarray, sha1s: bytes) -> None:
         self.data = data
         self.starts = starts
         self.entropies = entropies
+        self.sha1s = sha1s
         self.reused = 0
         self.computed = 0
         self._table: Optional[dict] = None
+        self._rows: Optional[np.ndarray] = None
+
+    def sha1_rows(self) -> np.ndarray:
+        """For each window here, the row of ``sha1s`` that holds its
+        SHA-1, or -1.  The popularity rule over ``entropies`` between
+        -inf ends is the selection the stream made, and the decided
+        features are its first ``len(sha1s) // 20``."""
+        if self._rows is None:
+            span, n = POPULARITY_SPAN, self.entropies.size
+            line = np.full(n + 2 * span, -np.inf)
+            line[span:span + n] = self.entropies
+            chosen = np.flatnonzero(_popular(line))[:len(self.sha1s) // 20]
+            self._rows = np.full(n, -1, dtype=np.int32)
+            self._rows[chosen] = np.arange(chosen.size)
+        return self._rows
 
     def shared(self, data: bytes, buf: np.ndarray,
                starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -511,14 +534,16 @@ def _popular(line: np.ndarray) -> np.ndarray:
 
 def _select(blobs: List[bytes],
             reference: Optional[WindowReference] = None
-            ) -> Tuple[bytes, np.ndarray, np.ndarray]:
+            ) -> Tuple[bytes, np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Feature selection over a batch, in one pass over its concatenation.
 
     Returns the concatenation, the start of each selected window in it
-    (ascending) and the index of the blob that holds it.  An anchor only
-    counts when its 8-byte context and its window both lie inside one
-    blob, and every blob's candidates sit on one line between -inf gaps
-    of ``POPULARITY_SPAN``, so each blob gets the selection it gets alone.
+    (ascending), the index of the blob that holds it and, with a
+    ``reference``, each selected window's row of ``reference.sha1s`` or
+    -1 (None when no window is shared).  An anchor only counts when its
+    8-byte context and its window both lie inside one blob, and every
+    blob's candidates sit on one line between -inf gaps of
+    ``POPULARITY_SPAN``, so each blob gets the selection it gets alone.
     With a ``reference``, windows in chunks it shares take its entropies
     and only the rest are computed.
     """
@@ -532,7 +557,7 @@ def _select(blobs: List[bytes],
               & (starts + WINDOW <= offsets[file_of + 1]))
     starts, file_of = starts[inside], file_of[inside]
     if starts.size == 0:
-        return cat, starts, file_of
+        return cat, starts, file_of, None
     span = POPULARITY_SPAN
     line = np.full(starts.size + span * (len(blobs) + 1), -np.inf)
     # candidate i of blob f sits at line[span:-span][i + span * f]: a gap
@@ -540,6 +565,9 @@ def _select(blobs: List[bytes],
     slot = np.arange(starts.size) + span * file_of
     own = None
     if reference is not None:
+        # the reference's selection first: its temporaries then overlap
+        # fewer of this pass's arrays
+        rows = reference.sha1_rows()
         own, theirs = reference.shared(cat, buf, starts)
         reference.reused += own.size
         reference.computed += starts.size - own.size
@@ -555,12 +583,16 @@ def _select(blobs: List[bytes],
                                     file_of[todo])
     line[span:-span][slot] = ent
     keep = _popular(line)[slot]
-    return cat, starts[keep], file_of[keep]
+    if own is None or own.size == 0:
+        return cat, starts[keep], file_of[keep], None
+    lent = np.full(starts.size, -1, dtype=np.int32)
+    lent[own] = rows[theirs]
+    return cat, starts[keep], file_of[keep], lent[keep]
 
 
 def _select_features(data: bytes) -> List[bytes]:
     """Pick characteristic 64-byte windows of ``data``."""
-    cat, starts, _ = _select([_as_bytes(data)])
+    cat, starts, _, _ = _select([_as_bytes(data)])
     return [cat[s:s + WINDOW] for s in starts.tolist()]
 
 
@@ -573,11 +605,12 @@ def _sha1s(windows: List[bytes]) -> bytes:
     return b"".join([sha1(window).digest() for window in windows])
 
 
-def _bloom_rows(sha1s: bytes, filt_of: np.ndarray,
+def _bloom_rows(sha1s, filt_of: np.ndarray,
                 n_filters: int) -> Tuple[np.ndarray, List[int]]:
-    """Every feature of ``sha1s`` (:func:`_sha1s`) scattered into its
-    filter's row of one ``(n_filters, FILTER_BITS)`` matrix, packed once:
-    the packed rows and each filter's feature count."""
+    """Every feature of ``sha1s`` (:func:`_sha1s`, or a contiguous
+    ``(n, 20)`` uint8 array) scattered into its filter's row of one
+    ``(n_filters, FILTER_BITS)`` matrix, packed once: the packed rows and
+    each filter's feature count."""
     positions = feature_positions(np.frombuffer(sha1s, dtype=np.uint8)
                                   .reshape(-1, 20))
     bits = np.zeros((n_filters, FILTER_BITS), dtype=bool)
@@ -617,7 +650,7 @@ def _digest_group(blobs: List[bytes],
     """
     F = len(blobs)
     out: List[Optional[SdDigest]] = [None] * F
-    cat, starts, file_of = _select(blobs, reference)
+    cat, starts, file_of, lent = _select(blobs, reference)
     if starts.size == 0:
         return out
     # feature j of blob f goes to filter filt_base[f] + (j - the blob's
@@ -630,9 +663,17 @@ def _digest_group(blobs: List[bytes],
     filt_of = filt_base[file_of] + ((np.arange(starts.size)
                                      - first_feat[file_of]) // MAX_FEATURES)
     feats, first_filt = per_blob.tolist(), filt_base.tolist()
-    packed, counts = _bloom_rows(
-        _sha1s([cat[s:s + WINDOW] for s in starts.tolist()]),
-        filt_of, first_filt[-1])
+    hashed = starts if lent is None else starts[lent < 0]
+    sha1s = _sha1s([cat[s:s + WINDOW] for s in hashed.tolist()])
+    if lent is not None:
+        # a feature the reference selected takes its SHA-1 from there
+        take = lent >= 0
+        rows = np.empty((starts.size, 20), dtype=np.uint8)
+        rows[take] = np.frombuffer(reference.sha1s, np.uint8).reshape(
+            -1, 20)[lent[take]]
+        rows[~take] = np.frombuffer(sha1s, np.uint8).reshape(-1, 20)
+        sha1s = rows
+    packed, counts = _bloom_rows(sha1s, filt_of, first_filt[-1])
     for k, n in enumerate(feats):
         if n >= MIN_FEATURES:
             lo, hi = first_filt[k], first_filt[k + 1]
@@ -715,7 +756,8 @@ class StreamingDigestState:
     and byte count — no numpy work, no chunk refs — and cannot
     :meth:`finalize` until :meth:`start` hands it the ``total`` bytes it
     has seen; the next :meth:`update` or :meth:`finalize` runs them
-    through the pipeline ahead of anything newer.
+    through the pipeline ahead of anything newer, on their own, so only
+    their last ``_STREAM_TAIL`` bytes are copied again with the chunk.
 
     Once streaming, the pipeline keeps a 71-byte tail, ≤ ``span``
     held-back windows and a 20-byte SHA-1 per selected feature (about
@@ -726,7 +768,8 @@ class StreamingDigestState:
     the version this stream replaces.  They are dropped for good once
     keeping them would pass 1 byte per streamed byte (a zero run anchors
     every offset), and freed by :meth:`window_reference` and
-    :meth:`finalize`.
+    :meth:`finalize`.  :meth:`window_reference` also lends the SHA-1
+    buffer, which the stream keeps for :meth:`finalize`.
 
     A running ``blake2b-16`` mirrors :class:`~repro.core.filestate.DigestCache`
     keys in every mode, so the close path gets its cache key in O(1) and
@@ -794,16 +837,19 @@ class StreamingDigestState:
 
     def window_reference(self, data: bytes) -> WindowReference:
         """The windows this stream computed, lent over ``data`` — the
-        bytes it saw — to the digest of the version they replace.  The
-        stream keeps none of them afterwards.  The reference holds no
-        window when the stream never ran the pipeline or dropped them."""
+        bytes it saw — to the digest of the version they replace, with
+        the SHA-1 buffer :meth:`finalize` reads (joined once, here, and
+        kept joined).  The stream keeps none of the windows afterwards.
+        The reference holds no window when the stream never ran the
+        pipeline or dropped them."""
         starts, ent = self._seen_starts, self._seen_ent
         self._drop_windows()
         if not starts:
             return WindowReference(data, np.zeros(0, dtype=np.uint32),
-                                   np.zeros(0))
+                                   np.zeros(0), b"")
+        self._hashes = [b"".join(self._hashes)]
         return WindowReference(data, np.concatenate(starts),
-                               np.concatenate(ent))
+                               np.concatenate(ent), self._hashes[0])
 
     def finalize(self) -> Optional[SdDigest]:
         """Close the stream and return the digest (None exactly where
@@ -835,8 +881,19 @@ class StreamingDigestState:
     # -- internal pipeline ---------------------------------------------
 
     def _consume(self, chunk: bytes) -> None:
-        t_old, t_new = self._streamed, self.total
-        combined = self._tail + chunk
+        if self._streamed < self.total - len(chunk):
+            # a seed goes through alone, so only its last bytes join the
+            # chunk's copy
+            self._scan(self._tail, self.total - len(chunk))
+        if chunk:
+            self._scan(self._tail + chunk, self.total)
+        self.chunks_consumed += 1
+
+    def _scan(self, combined: bytes, t_new: int) -> None:
+        """Run the pipeline over the stream's bytes up to ``t_new``:
+        ``combined`` ends there and starts at most ``_STREAM_TAIL``
+        bytes before the scanned ones end (or at a seed's start)."""
+        t_old = self._streamed
         base = t_new - len(combined)
         buf = np.frombuffer(combined, dtype=np.uint8)
         starts = _anchor_positions(buf)
@@ -850,7 +907,6 @@ class StreamingDigestState:
             self._advance(combined, starts.tolist(), ent)
         self._streamed = t_new
         self._tail = combined[max(0, len(combined) - _STREAM_TAIL):]
-        self.chunks_consumed += 1
 
     def _retain(self, starts: np.ndarray, base: int, ent: np.ndarray,
                 streamed: int) -> None:
@@ -900,6 +956,16 @@ class StreamingDigestState:
 
 # -- compare ------------------------------------------------------------------
 
+#: filter pairs (``len(small) * len(large)``) from which :func:`compare`
+#: scores with :func:`_score_words`: below it the loop over ints is faster
+#: than numpy's fixed cost per call, and from 36 pairs on the popcount is
+#: no slower even when both digests' ints are cached (docs/performance.md,
+#: "A save's close", has the measurement)
+_WORDS_MIN_PAIRS = 36
+#: filter pairs ANDed at once by :func:`_score_words`: 256 bytes of
+#: temporaries a pair
+_WORDS_BLOCK_PAIRS = 2048
+
 
 def _ordered(a: SdDigest, b: SdDigest) -> tuple:
     """The (small, large) pair, independent of argument order.
@@ -922,11 +988,18 @@ def compare(a: Optional[SdDigest], b: Optional[SdDigest]) -> Optional[int]:
 
     The arithmetic mirrors :meth:`BloomFilter.similarity` operation for
     operation, so scores are bit-identical to the scalar per-pair loop in
-    ``tests/reference.py``.
+    ``tests/reference.py``.  A pair of digests with ``_WORDS_MIN_PAIRS``
+    filter pairs or more is scored with numpy popcounts
+    (:func:`_score_words`), a smaller one on Python ints.
     """
     if a is None or b is None:
         return None
-    return _score_ints(*_ordered(a, b))
+    small, large = _ordered(a, b)
+    # ``counts`` holds one entry a filter; ``len`` on it skips two
+    # Python-level ``__len__`` calls on the pairs that score in a few µs
+    if len(small.counts) * len(large.counts) >= _WORDS_MIN_PAIRS:
+        return _score_words(small, large)
+    return _score_ints(small, large)
 
 
 def _score_ints(small: SdDigest, large: SdDigest) -> int:
@@ -948,3 +1021,35 @@ def _score_ints(small: SdDigest, large: SdDigest) -> int:
                 best = raw
         scores.append(best)
     return int(round(100 * sum(scores) / len(scores)))
+
+
+def _filter_words(digest: SdDigest) -> np.ndarray:
+    """The filters as an ``(n, 32)`` uint64 matrix.  A store-decoded
+    digest holds a strided view of its payload, rows 260 bytes apart, so
+    it is copied into contiguous, 8-byte-aligned rows first."""
+    return np.ascontiguousarray(digest._packed).view(np.uint64)
+
+
+def _score_words(small: SdDigest, large: SdDigest) -> int:
+    """:func:`_score_ints` with every pair's overlap from one
+    ``np.bitwise_count`` over the AND of the two digests' words, a block
+    of ``small``'s filters at a time.  The float operations are
+    ``_score_ints``'s on the same values, in the same order, and the
+    sum is the same Python ``sum``, so the score is bit for bit."""
+    xs, ys = _filter_words(small), _filter_words(large)
+    pa = np.bitwise_count(xs).sum(axis=1, dtype=np.int64)
+    pb = np.bitwise_count(ys).sum(axis=1, dtype=np.int64)
+    best = np.empty(len(small), dtype=np.float64)
+    rows = max(1, _WORDS_BLOCK_PAIRS // len(large))
+    for lo in range(0, len(small), rows):
+        overlap = np.bitwise_count(xs[lo:lo + rows, None] & ys).sum(
+            axis=2, dtype=np.uint16)
+        p = pa[lo:lo + rows, None]
+        expected = p * pb / FILTER_BITS
+        max_overlap = np.minimum(p, pb)
+        # a pair with an empty filter has max_overlap == expected == 0
+        raw = np.divide(overlap - expected, max_overlap - expected,
+                        out=np.zeros_like(expected),
+                        where=max_overlap > expected)
+        raw.max(axis=1, initial=0.0, out=best[lo:lo + rows])
+    return int(round(100 * sum(best.tolist()) / len(small)))

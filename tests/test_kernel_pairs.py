@@ -1,13 +1,15 @@
 """The statistics of ``benchmarks/kernel_pairs.py`` on canned timings.
 
 The timer's verdicts (medians, differences, pairs won, faults and
-system time per call, the fault flag) and its input parsing are checked
-here on measurements written by hand, so no kernel is timed.  The
-calls it times are checked for what they compute.
+system time per call, the fault flag, the control leg's columns), the
+order of each round's calls and its input parsing are checked here on
+measurements written by hand, so no kernel is timed.  The calls it
+times are checked for what they compute.
 """
 
 import importlib
 import importlib.util
+import itertools
 from pathlib import Path
 
 import pytest
@@ -53,11 +55,46 @@ class TestSummarise:
         assert not clean["faulted"]
         assert "FAULTS" not in kernel_pairs.render([("cipher:4096", clean)])
 
+    def test_a_control_leg_adds_its_ratio_and_pairs_won(self):
+        base = _calls([0.010, 0.010, 0.010, 0.010])
+        row = kernel_pairs.summarise(base, _calls([0.008] * 4))
+        control = kernel_pairs.summarise(base, _calls([0.0101, 0.0099,
+                                                       0.0102, 0.0098]))
+        assert control["ratio"] == pytest.approx(1.0)
+        assert control["won"] == pytest.approx(0.5)
+        head, line = kernel_pairs.render([("save:1M", row,
+                                           control)]).splitlines()
+        assert "ctrl ratio" in head
+        assert "0.800  100%       1.000   50%" in line
+        assert "ctrl" not in kernel_pairs.render([("save:1M", row)])
+
     def test_unpaired_runs_are_refused(self):
         with pytest.raises(ValueError):
             kernel_pairs.summarise(_calls([1.0]), _calls([1.0, 2.0]))
         with pytest.raises(ValueError):
             kernel_pairs.summarise([], [])
+
+
+class TestRounds:
+    @staticmethod
+    def _rounds(sides, pairs):
+        seen = []
+        calls = {side: (lambda side=side: seen.append(side))
+                 for side in sides}
+        runs = kernel_pairs.run_leg(calls, pairs)
+        assert {side: len(got) for side, got in runs.items()} == \
+            {side: pairs for side in sides}
+        seen = seen[len(sides):]  # the warm-up calls
+        return [tuple(seen[at:at + len(sides)])
+                for at in range(0, len(seen), len(sides))]
+
+    def test_two_sides_alternate_which_goes_first(self):
+        assert self._rounds(("base", "change"), 4) == \
+            [("base", "change"), ("change", "base")] * 2
+
+    def test_a_control_side_takes_every_order_in_turn(self):
+        sides = ("base", "change", "control")
+        assert self._rounds(sides, 6) == list(itertools.permutations(sides))
 
 
 class TestInputs:
@@ -86,3 +123,33 @@ class TestKernels:
         got = kernel_pairs.prepare(mod, "stream", case)()
         assert got.hexdigest() == mod.sdhash(case.old).hexdigest()
         assert got.n_features == mod.sdhash(case.old).n_features
+
+    def test_digest_many_lends_every_field_of_the_reference(
+            self, monkeypatch):
+        """The leg's reference carries the stream's SHA-1s, so a save
+        hashes only the features outside the chunks it shares."""
+        mod = importlib.import_module("repro.simhash.sdhash")
+        case = kernel_pairs.make_case("save", 1 << 20)
+        call = kernel_pairs.prepare(mod, "digest_many", case)
+        hashed = []
+        real = mod._sha1s
+
+        def counting(windows):
+            hashed.append(len(windows))
+            return real(windows)
+
+        monkeypatch.setattr(mod, "_sha1s", counting)
+        got = call()[0]
+        assert got.hexdigest() == mod.sdhash(case.old).hexdigest()
+        assert 0 < hashed[0] <= 0.25 * got.n_features
+
+    def test_the_compare_kernel_scores_the_input_pair(self):
+        mod = importlib.import_module("repro.simhash.sdhash")
+        save = kernel_pairs.make_case("save", 300_000)
+        want = mod.compare(mod.sdhash(save.old), mod.sdhash(save.new))
+        assert kernel_pairs.prepare(mod, "compare", save)() == want
+        cipher = kernel_pairs.make_case("cipher", 4096)
+        a, b = mod.sdhash(cipher.old), mod.sdhash(cipher.old[::-1])
+        assert len(a) == len(b) == 1
+        assert kernel_pairs.prepare(mod, "compare", cipher)() == \
+            mod.compare(a, b)

@@ -1,12 +1,14 @@
 """The scoring paths against the scalar reference.
 
-:func:`compare` scores a pair on Python ints (``_score_ints``), in
-either argument order.  Both must give the scalar per-pair loop's score
-(``tests/reference.py``) on every pair,
-including filters that take the ``pa == 0`` and
+:func:`compare` scores a pair on Python ints (``_score_ints``) below
+``_WORDS_MIN_PAIRS`` filter pairs and with one popcount over every
+pair's AND (``_score_words``) from there on, in either argument order.
+Both must give the scalar per-pair loop's score (``tests/reference.py``)
+on every pair, including filters that take the ``pa == 0`` and
 ``max_overlap <= expected`` branches of the similarity formula, which
 kernel digests rarely reach and which are built here with
-:meth:`SdDigest.from_state`.
+:meth:`SdDigest.from_state`, and digests decoded from a store payload,
+whose filters are a strided view of it.
 """
 
 import random
@@ -17,8 +19,10 @@ from hypothesis import strategies as st
 
 from repro.corpus.wordlists import paragraphs
 from repro.simhash.bloom import FILTER_BITS, MAX_FEATURES
-from repro.simhash.sdhash import (SdDigest, _ordered, _score_ints, compare,
+from repro.simhash.sdhash import (_WORDS_MIN_PAIRS, SdDigest, _ordered,
+                                  _score_ints, _score_words, compare,
                                   sdhash)
+from repro.store.format import decode_sddigest, encode_sddigest
 from tests.reference import compare_scalar
 
 _FILTER_BYTES = FILTER_BITS // 8
@@ -84,7 +88,67 @@ def test_both_paths_match_the_scalar_reference(pair):
     want = compare_scalar(a, b)
     small, large = _ordered(a, b)
     assert _score_ints(small, large) == want
+    assert _score_words(small, large) == want
     assert compare(a, b) == compare(b, a) == want
+
+
+def _random_row(rng, like):
+    """:func:`_row`'s kinds drawn from ``rng``, for digests too large to
+    draw row by row; an edit copies one of ``like``."""
+    kind = rng.choice(["empty", "full", "dense", "sparse", "sparse",
+                       "edit", "edit"])
+    if kind == "empty":
+        return EMPTY
+    if kind == "full":
+        return FULL
+    if kind == "dense":
+        return rng.randbytes(_FILTER_BYTES)
+    if kind == "sparse" or not like:
+        return _set_bits(rng.sample(range(FILTER_BITS),
+                                    rng.randrange(5 * MAX_FEATURES)))
+    row = bytearray(rng.choice(like))
+    for pos in rng.sample(range(FILTER_BITS), rng.randrange(40)):
+        row[pos // 8] ^= 0x80 >> (pos % 8)
+    return bytes(row)
+
+
+@st.composite
+def _large_pair(draw):
+    """Two digests of 1–200 filters, with as many filter pairs below the
+    popcount crossover as above it; equal filter counts (and then, half
+    the time, equal feature counts) reach ``_ordered``'s tie-breaks, and
+    either side may be decoded from a store payload."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, _WORDS_MIN_PAIRS - 1))
+        m = draw(st.integers(1, (_WORDS_MIN_PAIRS - 1) // n))
+    else:
+        n = draw(st.integers(1, 200))
+        m = draw(st.integers(-(-_WORDS_MIN_PAIRS // n), 200))
+    if draw(st.booleans()):
+        m = n
+    a_rows = [_random_row(rng, []) for _ in range(n)]
+    b_rows = [_random_row(rng, a_rows) for _ in range(m)]
+    a_counts = [rng.randint(1, MAX_FEATURES) for _ in a_rows]
+    b_counts = (list(a_counts) if m == n and draw(st.booleans())
+                else [rng.randint(1, MAX_FEATURES) for _ in b_rows])
+    a, b = _digest(a_rows, a_counts), _digest(b_rows, b_counts)
+    stored = draw(st.sampled_from(["neither", "a", "b"]))
+    if stored == "a":
+        a = decode_sddigest(encode_sddigest(a))
+    elif stored == "b":
+        b = decode_sddigest(encode_sddigest(b))
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_large_pair())
+def test_digests_of_up_to_200_filters_match_the_scalar_reference(pair):
+    a, b = pair
+    want = compare_scalar(a, b)
+    assert compare(a, b) == compare(b, a) == want
+    small, large = _ordered(a, b)
+    assert _score_words(small, large) == _score_ints(small, large) == want
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2), (3, 3)])
@@ -98,6 +162,7 @@ def test_degenerate_branches_on_each_path(shape):
     small, large = _ordered(a, b)
     want = compare_scalar(a, b)
     assert _score_ints(small, large) == compare(a, b) == want
+    assert _score_words(small, large) == want
 
 
 def test_kernel_digests_on_both_paths():
@@ -111,4 +176,5 @@ def test_kernel_digests_on_both_paths():
             small, large = _ordered(a, b)
             want = compare_scalar(a, b)
             assert _score_ints(small, large) == want
+            assert _score_words(small, large) == want
             assert compare(a, b) == want

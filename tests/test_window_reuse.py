@@ -9,8 +9,9 @@ The contract under test, layer by layer:
   and short repeated patterns, edited in place or unrelated.
 * The reuse is skipped work, so it is counted, not timed: a
   bulk_append-shaped save computes at most a quarter of its old
-  version's windows, an unrelated reference saves nothing, and no
-  comparison cuts more chunks than its length allows.
+  version's windows and SHA-1s at most a quarter of its features, an
+  unrelated reference saves nothing, and no comparison cuts more chunks
+  than its length allows.
 * A stream keeps at most 1 byte per streamed byte of windows, and none
   once its close, a fallback or a checkpoint restore has dropped it.
 * Through :class:`CryptoDropMonitor`, a large in-place save materialises
@@ -18,6 +19,7 @@ The contract under test, layer by layer:
 """
 
 import gc
+import hashlib
 import importlib
 import random
 import weakref
@@ -198,13 +200,23 @@ def test_reference_holds_every_anchored_window_of_its_version():
     assert reference.starts.tolist() == starts.tolist()
     assert reference.entropies.tobytes() == \
         sdhash_mod._window_entropies(buf, starts).tobytes()
+    # the SHA-1s: every feature the stream decided, each its window's
+    rows = reference.sha1_rows()
+    lent = np.flatnonzero(rows >= 0)
+    assert rows[lent].tolist() == list(range(len(reference.sha1s) // 20))
+    held = sdhash(data).n_features - lent.size
+    assert 0 <= held <= sdhash_mod.POPULARITY_SPAN
+    for at, row in zip(reference.starts[lent].tolist(), rows[lent].tolist()):
+        assert hashlib.sha1(data[at:at + 64]).digest() == \
+            reference.sha1s[20 * row:20 * row + 20]
 
 
 # -- work counts --------------------------------------------------------------
 
 
 class TestReuseWork:
-    """The windows the old version's digest computes, counted."""
+    """The windows the old version's digest computes and the features it
+    hashes, counted."""
 
     SIZE = 1 << 20
 
@@ -214,23 +226,42 @@ class TestReuseWork:
         old = _text(rng, pool, self.SIZE)
         return rng, pool, old
 
-    def test_a_bulk_append_save_computes_at_most_a_quarter(self):
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        """The number of windows each ``_sha1s`` call hashes."""
+        calls = []
+        real = sdhash_mod._sha1s
+
+        def counting(windows):
+            calls.append(len(windows))
+            return real(windows)
+
+        monkeypatch.setattr(sdhash_mod, "_sha1s", counting)
+        return calls
+
+    def test_a_bulk_append_save_computes_at_most_a_quarter(self, hashed):
         rng, pool, old = self._pair(7)
         new = _edit(rng, pool, old)
         reference = _stream(new).window_reference(new)
+        hashed.clear()  # the stream's own
         got = digest_many([old], reference=reference)[0]
         _same(got, sdhash(old))
         total = reference.reused + reference.computed
         assert total == _anchor_positions(np.frombuffer(old, np.uint8)).size
         assert reference.computed <= 0.25 * total
+        assert 0 < hashed[0] <= 0.25 * got.n_features
 
-    def test_an_unrelated_reference_computes_nearly_every_window(self):
+    def test_an_unrelated_reference_computes_nearly_every_window(self,
+                                                                 hashed):
         rng, pool, old = self._pair(8)
         other = _text(rng, pool, self.SIZE)
         reference = _stream(other).window_reference(other)
-        _same(digest_many([old], reference=reference)[0], sdhash(old))
+        hashed.clear()
+        got = digest_many([old], reference=reference)[0]
+        _same(got, sdhash(old))
         total = reference.reused + reference.computed
         assert reference.computed >= 0.99 * total
+        assert hashed[0] >= 0.99 * got.n_features
 
     def test_a_zero_run_stream_stops_retaining(self):
         zeros = bytes(4 << 20)

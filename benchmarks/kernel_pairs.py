@@ -239,25 +239,25 @@ def summarise(base: Sequence[tuple], change: Sequence[tuple]) -> dict:
 
 
 def render(rows: List[tuple]) -> str:
-    """``(leg name, summary[, control summary])`` rows as a table; a
-    control summary (the base against itself) adds its ratio and pairs
-    won."""
+    """``(leg name, summary[, control summary])`` rows as a table, times
+    per call in µs; a control summary (the base against itself) adds its
+    ratio and pairs won."""
     control = any(len(row) > 2 for row in rows)
-    out = [f"{'leg':<20} {'base ms':>10} {'change ms':>10} {'diff ms':>9} "
+    out = [f"{'leg':<20} {'base us':>10} {'change us':>10} {'diff us':>9} "
            f"{'ratio':>6} {'won':>5}  "
            + (f"{'ctrl ratio':>10} {'won':>5}  " if control else "")
-           + f"{'faults/call':>15}  {'sys ms/call':>15}"]
+           + f"{'faults/call':>15}  {'sys us/call':>15}"]
     for name, row, *ctrl in rows:
         flag = "  FAULTS" if row["faulted"] else ""
         out.append(
-            f"{name:<20} {row['base_s'] * 1e3:>10.3f} "
-            f"{row['change_s'] * 1e3:>10.3f} {row['diff_s'] * 1e3:>+9.3f} "
+            f"{name:<20} {row['base_s'] * 1e6:>10.1f} "
+            f"{row['change_s'] * 1e6:>10.1f} {row['diff_s'] * 1e6:>+9.1f} "
             f"{row['ratio']:>6.3f} {row['won']:>5.0%}  "
             + (f"{ctrl[0]['ratio']:>10.3f} {ctrl[0]['won']:>5.0%}  "
                if ctrl else "")
             + f"{row['faults']['base']:>7.1f}/{row['faults']['change']:<7.1f}"
-            f"  {row['stime_s']['base'] * 1e3:>7.3f}/"
-            f"{row['stime_s']['change'] * 1e3:<7.3f}{flag}")
+            f"  {row['stime_s']['base'] * 1e6:>7.1f}/"
+            f"{row['stime_s']['change'] * 1e6:<7.1f}{flag}")
     return "\n".join(out)
 
 

@@ -47,7 +47,7 @@ class TripwireMonitor:
     def initialize(self) -> int:
         """Record the trusted state; returns number of files enrolled."""
         self.baseline = {
-            path: hashlib.sha256(bytes(node.data)).hexdigest()
+            path: hashlib.sha256(node.read_bytes()).hexdigest()
             for path, node in self.vfs.peek_walk_files(self.root)
         }
         return len(self.baseline)
@@ -65,7 +65,7 @@ class TripwireMonitor:
             node = current.get(path)
             if node is None:
                 fresh.append(IntegrityAlert(path, "missing", index))
-            elif hashlib.sha256(bytes(node.data)).hexdigest() != expected:
+            elif hashlib.sha256(node.read_bytes()).hexdigest() != expected:
                 fresh.append(IntegrityAlert(path, "modified", index))
         for path in current:
             if path not in self.baseline:

@@ -9,6 +9,7 @@ tracked each time a file is moved" (paper §III).
 
 from __future__ import annotations
 
+import io
 import itertools
 from typing import Dict, Iterator, Optional
 
@@ -52,39 +53,58 @@ class FileAttributes:
 
 
 class FileNode:
-    """A regular file: a byte buffer plus attributes and timestamps."""
+    """A regular file: copy-on-write content plus attributes and timestamps.
 
-    __slots__ = ("node_id", "data", "attrs", "created_us", "modified_us")
+    The bytes live in an :class:`io.BytesIO`.  CPython's ``BytesIO(b)``
+    adopts a ``bytes`` object, ``getvalue()`` hands its buffer back
+    without copying, and the next write copies the buffer before
+    changing it.  So a whole-version :meth:`read_bytes` copies nothing:
+    a close, a baseline capture, a journal pre-image and a revert share
+    one object per version.  Two rules keep it that way: nothing holds
+    a ``getbuffer()`` view (an export makes ``getvalue()`` copy and a
+    resize fail), and :attr:`size` never calls ``getvalue()`` (a shared
+    buffer is copied by the next write).
+    """
+
+    __slots__ = ("node_id", "_content", "attrs", "created_us", "modified_us")
 
     def __init__(self, node_id: int, data: bytes = b"",
                  attrs: Optional[FileAttributes] = None,
                  created_us: float = 0.0) -> None:
         self.node_id = node_id
-        self.data = bytearray(data)
+        self._content = io.BytesIO(data)
         self.attrs = attrs or FileAttributes()
         self.created_us = created_us
         self.modified_us = created_us
 
     @property
     def size(self) -> int:
-        return len(self.data)
+        return self._content.seek(0, io.SEEK_END)
 
     def read_bytes(self, offset: int = 0, size: Optional[int] = None) -> bytes:
-        if size is None:
-            return bytes(self.data[offset:])
-        return bytes(self.data[offset:offset + size])
+        """``size`` bytes from ``offset`` (to the end when None).  The whole
+        version is the buffer itself; any other range is one copy."""
+        content = self._content
+        if offset == 0 and size is None:
+            return content.getvalue()
+        content.seek(offset)
+        return content.read(size)
 
     def write_bytes(self, offset: int, payload: bytes, now_us: float) -> int:
-        end = offset + len(payload)
-        if offset > len(self.data):
-            # Sparse extension, zero-filled (NTFS semantics).
-            self.data.extend(b"\x00" * (offset - len(self.data)))
-        self.data[offset:end] = payload
+        # a write past the end zero-fills the gap (NTFS sparse extension);
+        # an empty one changes nothing
+        content = self._content
+        content.seek(offset)
+        content.write(payload)
         self.modified_us = now_us
         return len(payload)
 
+    def replace(self, data: bytes) -> None:
+        """Make ``data`` the content, adopting it when it is ``bytes``."""
+        self._content = io.BytesIO(data)
+
     def truncate(self, size: int, now_us: float) -> None:
-        del self.data[size:]
+        self._content.truncate(size)
         self.modified_us = now_us
 
     def __repr__(self) -> str:

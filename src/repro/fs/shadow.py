@@ -52,7 +52,7 @@ class ShadowCopyService:
     def create(self, pid: int, root: WinPath) -> ShadowCopy:
         if not self.enabled:
             raise RuntimeError("shadow copy service disabled")
-        files = {path: bytes(node.data)
+        files = {path: node.read_bytes()
                  for path, node in self._vfs.peek_walk_files(root)}
         copy = ShadowCopy(next(self._ids), root, self._vfs.clock.now_us, files)
         self._copies[copy.shadow_id] = copy

@@ -28,7 +28,7 @@ class BaselineIndex:
         self.hashes: Dict[WinPath, str] = {}
         self.sizes: Dict[WinPath, int] = {}
         for path, node in vfs.peek_walk_files(root):
-            self.hashes[path] = hashlib.sha256(bytes(node.data)).hexdigest()
+            self.hashes[path] = hashlib.sha256(node.read_bytes()).hexdigest()
             self.sizes[path] = node.size
 
     def __len__(self) -> int:
@@ -73,19 +73,18 @@ def assess_damage(vfs: VirtualFileSystem, baseline: BaselineIndex,
     candidate set cannot hide.
     """
     report = DamageReport()
-    current: Dict[WinPath, bytes] = {}
-    for path, node in vfs.peek_walk_files(baseline.root):
-        current[path] = node.data  # bytearray reference; hashed lazily
+    # nodes, not bytes: only the files that must be hashed are read
+    current = dict(vfs.peek_walk_files(baseline.root))
     for path, expected in baseline.hashes.items():
-        data = current.get(path)
-        if data is None:
+        node = current.get(path)
+        if node is None:
             report.missing.append(path)
             continue
         must_hash = candidates is None or path in candidates
-        if not must_hash and len(data) == baseline.sizes[path]:
+        if not must_hash and node.size == baseline.sizes[path]:
             report.intact += 1
             continue
-        if hashlib.sha256(bytes(data)).hexdigest() == expected:
+        if hashlib.sha256(node.read_bytes()).hexdigest() == expected:
             report.intact += 1
         else:
             report.modified.append(path)

@@ -58,10 +58,11 @@ class _Journal:
     """Undo journal enabling cheap snapshot/revert.
 
     Structural changes append inverse records; the first data mutation of
-    each file after a mark saves a full pre-image.  Reverting replays the
-    structural records in reverse and restores saved pre-images, touching
-    only what actually changed — reverting a 5,099-file corpus after a
-    ransomware run that encrypted 30 files costs ~30 buffer restores.
+    each file after a mark keeps the version's bytes as its pre-image (the
+    node's own buffer: the mutation copies it first).  Reverting replays
+    the structural records in reverse and hands the pre-images back,
+    touching only what actually changed — reverting a 5,099-file corpus
+    after a ransomware run that encrypted 30 files restores ~30 buffers.
     """
 
     def __init__(self) -> None:
@@ -78,7 +79,8 @@ class _Journal:
 
     def note_data(self, node: FileNode) -> None:
         if self.active and node.node_id not in self.pre_images:
-            self.pre_images[node.node_id] = (bytes(node.data), node.modified_us)
+            self.pre_images[node.node_id] = (node.read_bytes(),
+                                             node.modified_us)
 
     def note(self, record: Tuple) -> None:
         if self.active:
@@ -556,7 +558,7 @@ class VirtualFileSystem:
             raise IsADirectory(str(path))
         if existing is not None:
             self._journal.note_data(existing)
-            existing.data[:] = payload
+            existing.replace(payload)
             return existing.node_id
         node = FileNode(self._ids.next_id(), payload, attrs, self.clock.now_us)
         parent.put(path.name, node)
@@ -629,6 +631,6 @@ class VirtualFileSystem:
         for node_id, (data, modified_us) in self._journal.pre_images.items():
             node = alive.get(node_id)
             if node is not None:
-                node.data[:] = data
+                node.replace(data)
                 node.modified_us = modified_us
         self._journal.mark()

@@ -465,9 +465,9 @@ class WindowReference:
         """The windows at ``starts`` in ``data`` (``buf`` is its array)
         that lie inside a chunk this reference holds byte for byte, as
         indices into ``starts`` and the matching indices into
-        ``self.starts``.  A window lies inside a chunk when its 8 context
-        bytes and its 64 bytes do."""
-        empty = np.zeros(0, dtype=np.int64)
+        ``self.starts`` (int32).  A window lies inside a chunk when its 8
+        context bytes and its 64 bytes do."""
+        empty = np.zeros(0, dtype=np.int32)
         if self.starts.size == 0:
             return empty, empty
         if self._table is None:
@@ -490,18 +490,20 @@ class WindowReference:
                 lengths.append(n)
         if not lengths:
             return empty, empty
-        own_heads = np.array(own_heads, dtype=np.int64)
-        ref_heads = np.array(ref_heads, dtype=np.int64)
-        tails = np.array(lengths, dtype=np.int64) - WINDOW
+        # per-chunk values in the dtype of the array each one searches, so
+        # no search converts a per-window array
+        own_heads = np.array(own_heads, dtype=starts.dtype)
+        ref_heads = np.array(ref_heads, dtype=self.starts.dtype)
+        tails = np.array(lengths, dtype=starts.dtype) - WINDOW
         first = starts.searchsorted(own_heads + 8)
         counts = starts.searchsorted(own_heads + tails, side="right") - first
         # equal chunks anchor the same windows, so the reference's run
         # starts at its chunk's first window and is as long
-        shift = self.starts.searchsorted(
-            (ref_heads + 8).astype(self.starts.dtype)) - first
-        own = np.arange(int(counts.sum())) + np.repeat(
-            first - (np.cumsum(counts) - counts), counts)
-        return own, own + np.repeat(shift, counts)
+        shift = self.starts.searchsorted(ref_heads + 8) - first
+        own = np.arange(int(counts.sum()), dtype=np.int32)
+        own += np.repeat((first - (np.cumsum(counts) - counts))
+                         .astype(np.int32), counts)
+        return own, own + np.repeat(shift.astype(np.int32), counts)
 
 
 # -- stage 3: popularity ------------------------------------------------------
@@ -555,15 +557,16 @@ def _select(blobs: List[bytes],
     file_of = np.searchsorted(offsets, starts, side="right") - 1
     inside = ((starts - 8 >= offsets[file_of])
               & (starts + WINDOW <= offsets[file_of + 1]))
-    starts, file_of = starts[inside], file_of[inside]
+    # a pass holds ``starts`` throughout, so they are int32 (and so are a
+    # reference's matches), and every array is dropped once used: that
+    # bounds the scratch of a large digest.  ``file_of`` and ``slot`` stay
+    # intp: NumPy converts an index array of any other type on each
+    # gather and scatter, a fixed cost a small digest would feel
+    starts, file_of = starts[inside].astype(np.int32), file_of[inside]
+    del inside
     if starts.size == 0:
         return cat, starts, file_of, None
-    span = POPULARITY_SPAN
-    line = np.full(starts.size + span * (len(blobs) + 1), -np.inf)
-    # candidate i of blob f sits at line[span:-span][i + span * f]: a gap
-    # of span -inf values between neighbouring blobs
-    slot = np.arange(starts.size) + span * file_of
-    own = None
+    lent = None
     if reference is not None:
         # the reference's selection first: its temporaries then overlap
         # fewer of this pass's arrays
@@ -571,23 +574,31 @@ def _select(blobs: List[bytes],
         own, theirs = reference.shared(cat, buf, starts)
         reference.reused += own.size
         reference.computed += starts.size - own.size
-    if own is None or own.size == 0:
+        if own.size:
+            lent = np.full(starts.size, -1, dtype=np.int32)
+            lent[own] = rows[theirs]
+            ent = np.empty(starts.size, dtype=np.float64)
+            ent[own] = reference.entropies[theirs]
+            del theirs
+            todo = np.ones(starts.size, dtype=bool)
+            todo[own] = False
+            del own
+            todo = np.flatnonzero(todo)
+            ent[todo] = _span_entropies(buf, starts[todo], offsets,
+                                        file_of[todo])
+            del todo
+    if lent is None:
         ent = _span_entropies(buf, starts, offsets, file_of)
-    else:
-        ent = np.empty(starts.size, dtype=np.float64)
-        ent[own] = reference.entropies[theirs]
-        todo = np.ones(starts.size, dtype=bool)
-        todo[own] = False
-        todo = np.flatnonzero(todo)
-        ent[todo] = _span_entropies(buf, starts[todo], offsets,
-                                    file_of[todo])
+    span = POPULARITY_SPAN
+    # candidate i of blob f sits at line[span:-span][i + span * f]: a gap
+    # of span -inf values between neighbouring blobs
+    slot = np.arange(starts.size) + span * file_of
+    line = np.full(starts.size + span * (len(blobs) + 1), -np.inf)
     line[span:-span][slot] = ent
+    del ent
     keep = _popular(line)[slot]
-    if own is None or own.size == 0:
-        return cat, starts[keep], file_of[keep], None
-    lent = np.full(starts.size, -1, dtype=np.int32)
-    lent[own] = rows[theirs]
-    return cat, starts[keep], file_of[keep], lent[keep]
+    return (cat, starts[keep], file_of[keep],
+            None if lent is None else lent[keep])
 
 
 def _select_features(data: bytes) -> List[bytes]:

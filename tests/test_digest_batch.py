@@ -33,7 +33,8 @@ from repro.entropy import (WeightedEntropyMean, corrected_entropies_from_histogr
                            histograms_many)
 from repro.fs import DOCUMENTS, ProcessSuspended, TEMP, VirtualFileSystem
 from repro.simhash import digest_many, sdhash
-from repro.simhash.sdhash import MIN_DIGEST_BYTES, WINDOW, _anchor_positions
+from repro.simhash.sdhash import (MIN_DIGEST_BYTES, WINDOW,
+                                  StreamingDigestState, _anchor_positions)
 
 from tests.reference import (detection_output, eager_reference,
                              sdhash_scalar, verdict_checkpoint)
@@ -150,6 +151,26 @@ class TestKernelMemory:
     def test_digest_many_peak_under_24_mib_for_8_mib(self):
         blobs = [self._text(2 + i, 2 << 20) for i in range(4)]
         assert self._peak(digest_many, blobs) < 24 << 20
+
+    def test_a_save_digest_lent_its_new_version_peaks_under_3_25x(self):
+        """The old-version digest of a streamed save (3.8 MiB, one 4 KiB
+        block in twenty rewritten) with the new version's
+        ``WindowReference``: the reference's chunk table and SHA-1 rows
+        are built inside the call, as on a close."""
+        rng = random.Random(4)
+        old = self._text(4, 3_984_588)
+        filler = self._text(5, len(old))
+        new = b"".join(
+            (filler if rng.random() < 0.05 else old)[at:at + 4096]
+            for at in range(0, len(old), 4096))
+        state = StreamingDigestState()
+        for at in range(0, len(new), 64 << 10):
+            state.update(new[at:at + (64 << 10)])
+        reference = state.window_reference(new)
+        peak = self._peak(
+            lambda blob: digest_many([blob], reference=reference), old)
+        assert reference.reused > 4 * reference.computed
+        assert peak < 3.25 * len(old)
 
 
 class _TermLookups:

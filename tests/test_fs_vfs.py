@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import CryptoDropConfig, CryptoDropMonitor
 from repro.fs import (AccessDenied, DOCUMENTS, DirectoryNotEmpty,
                       FileAttributes, FileExists, FileNotFound,
                       HandleClosed, InvalidHandle, IsADirectory,
@@ -304,3 +305,51 @@ class TestClockAdvances:
         first = vfs.peek_stat(path).modified_us
         vfs.write_file(pid, path, b"2")
         assert vfs.peek_stat(path).modified_us > first
+
+
+class TestOneCopyPerVersion:
+    """A version's bytes are one object however many readers take it: a
+    close, a baseline capture, the journal's pre-image and a revert.
+    Object identities count the copies without timing them."""
+
+    TEXT = b"The quarterly report is attached for review.\n" * 40
+
+    def test_peek_read_of_an_unchanged_file_is_one_object(self, vfs, pid):
+        path = DOCUMENTS / "a.txt"
+        vfs.write_file(pid, path, self.TEXT)
+        first = vfs.peek_read(path)
+        assert vfs.peek_read(path) is first
+        assert vfs.peek_node(path).read_bytes() is first
+
+    def test_a_closed_version_is_the_pending_capture(self, vfs, pid):
+        monitor = CryptoDropMonitor(vfs, CryptoDropConfig()).attach()
+        path = DOCUMENTS / "export.txt"
+        handle = vfs.open(pid, path, "w", create=True)
+        vfs.write(pid, handle, self.TEXT)
+        vfs.close(pid, handle)
+        record = monitor.engine.cache.get(vfs.peek_stat(path).node_id)
+        assert record.pending_content is not None
+        assert record.pending_content is vfs.peek_read(path)
+
+    def _overwrite_captured(self, vfs, pid):
+        """Plant a file, mark, and overwrite it under a monitor; returns
+        the node id and the bytes the monitor's baseline capture took."""
+        monitor = CryptoDropMonitor(vfs, CryptoDropConfig()).attach()
+        path = DOCUMENTS / "report.txt"
+        node_id = vfs.peek_write(path, self.TEXT)
+        vfs.snapshot_mark()
+        handle = vfs.open(pid, path, "w", truncate=True)
+        captured = monitor.engine.cache.get(node_id).pending_content
+        assert captured == self.TEXT
+        vfs.write(pid, handle, self.TEXT.upper())
+        vfs.close(pid, handle)
+        return node_id, captured
+
+    def test_the_journal_pre_image_is_the_capture(self, vfs, pid):
+        node_id, captured = self._overwrite_captured(vfs, pid)
+        assert vfs._journal.pre_images[node_id][0] is captured
+
+    def test_revert_restores_the_captured_object(self, vfs, pid):
+        _, captured = self._overwrite_captured(vfs, pid)
+        vfs.revert()
+        assert vfs.peek_read(DOCUMENTS / "report.txt") is captured

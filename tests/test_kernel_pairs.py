@@ -68,6 +68,16 @@ class TestSummarise:
         assert "0.800  100%       1.000   50%" in line
         assert "ctrl" not in kernel_pairs.render([("save:1M", row)])
 
+    def test_times_print_in_microseconds_with_one_decimal(self):
+        # a compare of two 4 KiB ciphertext digests takes a few µs
+        row = kernel_pairs.summarise(_calls([4.2e-6, 4.4e-6]),
+                                     _calls([4.9e-6, 5.1e-6], stime=2e-6))
+        head, line = kernel_pairs.render([("cipher:4096", row)]).splitlines()
+        assert "base us" in head and "sys us/call" in head
+        assert "ms" not in head
+        assert line.split()[1:4] == ["4.3", "5.0", "+0.7"]
+        assert line.split()[-1] == "0.0/2.0"
+
     def test_unpaired_runs_are_refused(self):
         with pytest.raises(ValueError):
             kernel_pairs.summarise(_calls([1.0]), _calls([1.0, 2.0]))

@@ -3,7 +3,11 @@
 The most valuable one is the filesystem model check: arbitrary operation
 sequences against the VFS must agree with a trivial dict-based oracle,
 and a snapshot/revert around any sequence must restore the oracle state
-— the campaign harness leans on that for 492 revert cycles.
+— the campaign harness leans on that for 492 revert cycles.  It checks
+content as well as names: every read, whole or partial, returns the
+oracle's bytes, positional writes land inside a file and past its end,
+and a version held from ``peek_read`` (shared with the node until the
+next write copies it) keeps the bytes it had when it was taken.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ _PAYLOADS = (b"", b"x", b"hello world", bytes(range(200)), b"Z" * 5000,
              chacha20_xor(bytes(32), bytes(12), _text(2, 4000)),
              random.Random(3).randbytes(2048))
 _CHUNKS = (61, 512, 1500)
+#: positions for partial reads and positional writes: inside the small
+#: and the large payloads, and past the end of most files
+_OFFSETS = (0, 5, 700, 3000, 6000)
 
 _ops = st.lists(
     st.one_of(
@@ -44,6 +51,13 @@ _ops = st.lists(
         st.tuples(st.just("append"), st.sampled_from(_NAMES),
                   st.sampled_from(_PAYLOADS)),
         st.tuples(st.just("read"), st.sampled_from(_NAMES), st.none()),
+        st.tuples(st.just("pread"), st.sampled_from(_NAMES),
+                  st.tuples(st.sampled_from(_OFFSETS),
+                            st.sampled_from((1, 100, 5000)))),
+        st.tuples(st.just("pwrite"), st.sampled_from(_NAMES),
+                  st.tuples(st.sampled_from(_OFFSETS),
+                            st.sampled_from(_PAYLOADS))),
+        st.tuples(st.just("hold"), st.sampled_from(_NAMES), st.none()),
         st.tuples(st.just("delete"), st.sampled_from(_NAMES), st.none()),
         st.tuples(st.just("rename"), st.sampled_from(_NAMES),
                   st.sampled_from(_NAMES)),
@@ -52,8 +66,9 @@ _ops = st.lists(
     min_size=1, max_size=30)
 
 
-def _apply(vfs, pid, oracle, op):
-    """Apply one op to both the VFS and the dict oracle."""
+def _apply(vfs, pid, oracle, op, holds=None):
+    """Apply one op to both the VFS and the dict oracle; a ``hold`` keeps
+    ``(peek_read bytes, the oracle's bytes)`` in ``holds``, if given."""
     kind, name, arg = op
     path = DOCUMENTS / name
     try:
@@ -65,7 +80,35 @@ def _apply(vfs, pid, oracle, op):
             vfs.write_file(pid, path, payload, chunk_size=chunk_size)
             oracle[name.lower()] = payload
         elif kind == "read":
-            vfs.read_file(pid, path)
+            assert vfs.read_file(pid, path) == oracle[name.lower()]
+        elif kind == "pread":
+            offset, size = arg
+            handle = vfs.open(pid, path, "r")
+            try:
+                vfs.seek(pid, handle, offset)
+                got = vfs.read(pid, handle, size)
+            finally:
+                vfs.close(pid, handle)
+            assert got == oracle[name.lower()][offset:offset + size]
+        elif kind == "pwrite":
+            offset, payload = arg
+            handle = vfs.open(pid, path, "rw")
+            try:
+                vfs.seek(pid, handle, offset)
+                vfs.write(pid, handle, payload)
+            finally:
+                vfs.close(pid, handle)
+            old = oracle[name.lower()]
+            if payload:
+                # a gap past the end reads as zeros; an empty write
+                # changes nothing
+                old = old.ljust(offset, b"\x00")
+            oracle[name.lower()] = (old[:offset] + payload
+                                    + old[offset + len(payload):])
+        elif kind == "hold":
+            held = (vfs.peek_read(path), oracle[name.lower()])
+            if holds is not None:
+                holds.append(held)
         elif kind == "append":
             handle = vfs.open(pid, path, "a", create=True)
             try:
@@ -96,8 +139,13 @@ def _apply(vfs, pid, oracle, op):
 
 
 def _vfs_state(vfs):
-    return {path.name.lower(): bytes(node.data)
+    return {path.name.lower(): node.read_bytes()
             for path, node in vfs.peek_walk_files(DOCUMENTS)}
+
+
+def _assert_holds(holds):
+    for held, expected in holds:
+        assert held == expected
 
 
 class TestVfsModelCheck:
@@ -108,18 +156,20 @@ class TestVfsModelCheck:
         vfs._ensure_dirs(DOCUMENTS)
         pid = vfs.processes.spawn("model.exe").pid
         oracle: dict = {}
+        holds: list = []
         for op in ops:
             kind, name, arg = op
             # keep oracle/KeyError semantics aligned with FS errors
             if kind in ("delete", "truncate", "rename") \
                     and name.lower() not in oracle:
                 try:
-                    _apply(vfs, pid, oracle, op)
+                    _apply(vfs, pid, oracle, op, holds)
                 except Exception:
                     pass
                 continue
-            _apply(vfs, pid, oracle, op)
+            _apply(vfs, pid, oracle, op, holds)
         assert _vfs_state(vfs) == oracle
+        _assert_holds(holds)
 
     @settings(max_examples=60, deadline=None)
     @given(_ops, _ops)
@@ -128,15 +178,21 @@ class TestVfsModelCheck:
         vfs._ensure_dirs(DOCUMENTS)
         pid = vfs.processes.spawn("model.exe").pid
         oracle: dict = {}
+        holds: list = []
         for op in setup_ops:
-            _apply(vfs, pid, oracle, op)
+            _apply(vfs, pid, oracle, op, holds)
         before = _vfs_state(vfs)
         vfs.snapshot_mark()
         scratch: dict = dict(oracle)
         for op in attack_ops:
-            _apply(vfs, pid, scratch, op)
+            _apply(vfs, pid, scratch, op, holds)
         vfs.revert()
         assert _vfs_state(vfs) == before
+        for name in before:
+            _apply(vfs, pid, before, ("hold", name, None), holds)
+        for op in attack_ops:
+            _apply(vfs, pid, before, op, holds)
+        _assert_holds(holds)
 
 
 class TestDetectorInvariants:

@@ -225,7 +225,7 @@ class TestClassBehaviours:
                                 note_mode="none",
                                 encrypt_prefix_bytes=2048)
         sample = RansomwareSample(profile)
-        original = {p: bytes(n.data)
+        original = {p: n.read_bytes()
                     for p, n in machine.vfs.peek_walk_files(DOCUMENTS)}
         machine.run_program(sample)
         victim = sample.files_attacked[0]

@@ -28,7 +28,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..entropy import corrected_entropy_from_counts
+# unused here: perfbench/spans.py times entropy through this attribute
+from ..entropy import corrected_entropy_from_counts  # noqa: F401
 from ..fs.errors import FsError
 from ..fs.events import Decision, FsOperation, OpKind
 from ..fs.filters import FilterDriver, PostVerdict
@@ -121,11 +122,6 @@ class AnalysisEngine(FilterDriver):
         #: funneling memo: node_id → identified type name for offset-0
         #: reads of untracked nodes (invalidated on write/delete)
         self._read_type_memo: Dict[int, str] = {}
-        #: per-handle running byte histogram: handle_id → [counts, total]
-        #: — each write payload is bincounted exactly once, feeding both
-        #: the per-op entropy mean and the handle's cumulative stream
-        #: entropy; dropped when the handle closes
-        self._write_hists: Dict[int, list] = {}
         self._pending_cost_us = 0.0
         self.op_counts: Dict[str, int] = {}
         self.bytes_inspected = 0
@@ -289,19 +285,10 @@ class AnalysisEngine(FilterDriver):
         state = self._state(op.pid)
         if not self.config.enable_entropy:
             return
-        # one bincount per payload: the chunk histogram feeds the per-op
-        # weighted mean (bit-identical to hashing the raw bytes) and
-        # accumulates into the handle's running stream histogram
+        # one bincount per payload feeds the per-op weighted mean
+        # (bit-identical to hashing the raw bytes)
         counts = np.bincount(np.frombuffer(op.data, dtype=np.uint8),
                              minlength=256)
-        if op.handle_id is not None:
-            hist = self._write_hists.get(op.handle_id)
-            if hist is None:
-                self._write_hists[op.handle_id] = [counts.copy(),
-                                                   len(op.data)]
-            else:
-                hist[0] += counts
-                hist[1] += len(op.data)
         delta = state.entropy.on_write_counts(counts, len(op.data))
         if delta is not None:
             self._apply(op, IndicatorHit(
@@ -404,11 +391,8 @@ class AnalysisEngine(FilterDriver):
     def _on_close(self, op: FsOperation) -> None:
         lat = self.config.latency
         stream: Optional[StreamingDigestState] = None
-        if op.handle_id is not None:
-            if self._write_hists:
-                self._write_hists.pop(op.handle_id, None)
-            if self._streams:
-                stream = self._drop_stream(op.handle_id)
+        if op.handle_id is not None and self._streams:
+            stream = self._drop_stream(op.handle_id)
         if not op.wrote_since_open or op.node_id is None:
             self._pending_cost_us += lat.other_us
             return
@@ -842,16 +826,5 @@ class AnalysisEngine(FilterDriver):
             "op_wall_us": dict(self.op_wall_us),
         }
 
-    def stream_entropy_of(self, handle_id: int) -> Optional[float]:
-        """Corrected entropy of everything written through a live handle,
-        served from its running histogram — no re-count of the stream."""
-        hist = self._write_hists.get(handle_id)
-        if hist is None:
-            return None
-        return corrected_entropy_from_counts(hist[0], hist[1])
-
     def entropy_state_of(self, pid: int) -> ProcessEntropyState:
         return self._state(pid).entropy
-
-    def funnel_state_of(self, pid: int) -> ProcessFunnelState:
-        return self._state(pid).funnel

@@ -106,10 +106,17 @@ class DigestCache:
     :meth:`FileStateCache.restore`).
     """
 
-    __slots__ = ("capacity", "hits", "misses", "evictions",
-                 "bytes_digested", "bytes_streamed",
-                 "store_hits", "store_misses", "deferred",
-                 "telemetry", "_entries")
+    #: lifetime counters, each a plain int attribute: lookups that hit
+    #: and missed the LRU, evictions, ``bytes_digested`` and its subset
+    #: ``bytes_streamed`` (digests an incremental StreamingDigestState
+    #: finalized: the content was never re-read at close time), lookups
+    #: an attached corpus BaselineStore resolved (``store_hits``) or fell
+    #: through (``store_misses``), and inspections ``deferred`` to the
+    #: scheduler
+    _COUNTERS = ("hits", "misses", "evictions", "bytes_digested",
+                 "bytes_streamed", "store_hits", "store_misses", "deferred")
+
+    __slots__ = ("capacity", "telemetry", "_entries") + _COUNTERS
 
     def __init__(self, capacity: int = 256) -> None:
         self.capacity = max(0, int(capacity))
@@ -117,20 +124,7 @@ class DigestCache:
         #: eviction events are stamped with the bus clock (the cache has
         #: no operation context of its own)
         self.telemetry = None
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.bytes_digested = 0
-        #: subset of ``bytes_digested`` whose digest came from an
-        #: incremental StreamingDigestState finalize (O(tail) close) —
-        #: the content was never re-read at close time
-        self.bytes_streamed = 0
-        #: lookups resolved from an attached corpus BaselineStore
-        self.store_hits = 0
-        #: lookups that probed an attached store and fell through
-        self.store_misses = 0
-        #: inspections whose digest was deferred to the scheduler
-        self.deferred = 0
+        self.load_stats({})
         self._entries: "OrderedDict[bytes, InspectionResult]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -171,40 +165,15 @@ class DigestCache:
         """The checkpoint-safe slice of :meth:`stats`: lifetime counters
         only, no ephemeral entry count — a restored cache starts empty, so
         including ``entries`` would make checkpoints non-idempotent."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "bytes_digested": self.bytes_digested,
-            "bytes_streamed": self.bytes_streamed,
-            "store_hits": self.store_hits,
-            "store_misses": self.store_misses,
-            "deferred": self.deferred,
-        }
+        return {name: getattr(self, name) for name in self._COUNTERS}
 
     def stats(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "bytes_digested": self.bytes_digested,
-            "bytes_streamed": self.bytes_streamed,
-            "store_hits": self.store_hits,
-            "store_misses": self.store_misses,
-            "deferred": self.deferred,
-        }
+        return {"capacity": self.capacity, "entries": len(self._entries),
+                **self.counters()}
 
     def load_stats(self, state: dict) -> None:
-        self.hits = int(state.get("hits", 0))
-        self.misses = int(state.get("misses", 0))
-        self.evictions = int(state.get("evictions", 0))
-        self.bytes_digested = int(state.get("bytes_digested", 0))
-        self.bytes_streamed = int(state.get("bytes_streamed", 0))
-        self.store_hits = int(state.get("store_hits", 0))
-        self.store_misses = int(state.get("store_misses", 0))
-        self.deferred = int(state.get("deferred", 0))
+        for name in self._COUNTERS:
+            setattr(self, name, int(state.get(name, 0)))
 
 
 class FileStateCache:

@@ -71,9 +71,7 @@ def corrected_entropy_from_counts(counts: np.ndarray, n: int) -> float:
 
     ``counts`` is a 256-bin integer histogram summing to ``n``.  Because
     the histogram is exact integers however it was accumulated, the value
-    is bit-identical to ``corrected_entropy(data)`` over the same bytes —
-    which is what lets the engine keep a *running* per-handle histogram
-    across writes instead of re-counting the full payload every time.
+    is bit-identical to ``corrected_entropy(data)`` over the same bytes.
     """
     if n == 0:
         return 0.0
@@ -192,10 +190,10 @@ class WeightedEntropyMean:
     def update_from_counts(self, counts: np.ndarray, n: int) -> float:
         """Fold one op from its precomputed 256-bin byte histogram.
 
-        Lets a caller that already counted the payload's bytes (e.g. to
-        maintain a per-handle running histogram) feed the mean without a
-        second ``bincount`` over the same buffer; the folded entropy is
-        bit-identical to :meth:`update` on the counted bytes.
+        Lets a caller that already counted the payload's bytes feed the
+        mean without a second ``bincount`` over the same buffer; the
+        folded entropy is bit-identical to :meth:`update` on the counted
+        bytes.
         """
         if self.corrected:
             e = corrected_entropy_from_counts(counts, n)

@@ -48,9 +48,8 @@ from ..faults.injector import FaultInjector, IngestFaultSource, PoisonedEvent
 from ..faults.plan import FaultPlan
 from ..faults.supervisor import MonitorSupervisor
 from ..fs.errors import FsError, ProcessSuspended, is_transient
-from ..fs.paths import WinPath
 from ..telemetry.events import FaultInjected, ShardRestarted
-from ..trace import TraceRecord
+from ..trace import TraceRecord, apply_record
 from .breaker import CircuitBreaker
 from .queue import Admission, BoundedIngestQueue, EndpointEvent
 
@@ -90,9 +89,9 @@ class MonitorShard:
         self.supervisor = MonitorSupervisor(
             self.vfs, config, policy, baseline_store=baseline_store,
             telemetry=telemetry)
-        # replay maps: original trace pid -> live replay pid, and
-        # (replay pid, lowercased path) -> open handle (replay_trace's
-        # scheme, snapshotted at each checkpoint)
+        # replay maps: original trace pid -> live replay pid (snapshotted
+        # at each checkpoint), and (replay pid, lowercased path) -> open
+        # handle, the map trace.apply_record keeps
         self.pid_map: Dict[int, int] = {}
         self.open_handles: Dict[Tuple[int, str], object] = {}
         self._tail: List[EndpointEvent] = []
@@ -272,7 +271,7 @@ class MonitorShard:
             t.bus.clock_us, fault=fault, op_index=event.seq,
             op_kind=event.record.kind, path=event.record.path))
 
-    # -- event application (replay_trace's dispatch, raising) ----------------
+    # -- event application (trace.apply_record, errors raised) --------------
 
     def _replay_pid(self, original: int) -> int:
         if original not in self.pid_map:
@@ -285,44 +284,8 @@ class MonitorShard:
     def _apply(self, event: EndpointEvent) -> None:
         if event.poison:
             raise PoisonedEvent(self.tenant, event.seq)
-        record = event.record
-        pid = self._replay_pid(record.pid)
-        path = WinPath(record.path)
-        key = (pid, record.path.lower())
-        handles = self.open_handles
-        vfs = self.vfs
-        if record.kind == "mkdir":
-            vfs.mkdir(pid, path, exist_ok=True)
-        elif record.kind == "create":
-            handles[key] = vfs.open(pid, path, "rw", create=True)
-        elif record.kind == "open":
-            handles[key] = vfs.open(pid, path, "rw",
-                                    truncate=record.truncate)
-        elif record.kind == "read":
-            handle = handles.get(key)
-            if handle is not None:
-                vfs.seek(pid, handle, record.offset)
-                vfs.read(pid, handle, record.size)
-        elif record.kind == "write":
-            handle = handles.get(key)
-            if handle is not None and record.data is not None:
-                vfs.seek(pid, handle, record.offset)
-                vfs.write(pid, handle, record.data)
-        elif record.kind == "truncate":
-            handle = handles.get(key)
-            if handle is not None and record.new_size is not None:
-                vfs.truncate_handle(pid, handle, record.new_size)
-        elif record.kind == "close":
-            handle = handles.pop(key, None)
-            if handle is not None:
-                vfs.close(pid, handle)
-        elif record.kind == "rename":
-            vfs.rename(pid, path, WinPath(record.dest))
-            moved = handles.pop(key, None)
-            if moved is not None:
-                handles[(pid, record.dest.lower())] = moved
-        elif record.kind == "delete":
-            vfs.delete(pid, path)
+        apply_record(self.vfs, self._replay_pid(event.record.pid),
+                     event.record, self.open_handles)
 
     # -- checkpoint / restart ------------------------------------------------
 

@@ -415,10 +415,12 @@ class WindowReference:
     related one.
 
     ``data`` is a version's bytes, ``starts`` the start of every anchored
-    window in it (ascending, uint32), ``entropies`` each window's entropy
-    and ``sha1s`` the SHA-1s of the windows it selected, in window order,
-    as far as it has decided them (20 bytes a feature) — what a
-    :class:`StreamingDigestState` computed while the version streamed.
+    window in it (ascending, uint32), ``entropies`` each window's entropy,
+    ``sha1s`` the SHA-1s of the windows it selected, in window order, as
+    far as it has decided them (20 bytes a feature), and ``selected`` the
+    index of each of those windows (ascending, int32) — what a
+    :class:`StreamingDigestState` computed and decided while the version
+    streamed.
     Given one, :func:`digest_many` cuts its input and ``data`` into
     content-defined chunks, and every window of the input inside a chunk
     that ``data`` holds byte for byte takes the lent entropy, and its
@@ -432,33 +434,26 @@ class WindowReference:
     ``reused`` and ``computed`` count the windows each way.
     """
 
-    __slots__ = ("data", "starts", "entropies", "sha1s", "reused",
-                 "computed", "_table", "_rows")
+    __slots__ = ("data", "starts", "entropies", "sha1s", "selected",
+                 "reused", "computed")
 
     def __init__(self, data: bytes, starts: np.ndarray,
-                 entropies: np.ndarray, sha1s: bytes) -> None:
+                 entropies: np.ndarray, sha1s: bytes,
+                 selected: np.ndarray) -> None:
         self.data = data
         self.starts = starts
         self.entropies = entropies
         self.sha1s = sha1s
+        self.selected = selected
         self.reused = 0
         self.computed = 0
-        self._table: Optional[dict] = None
-        self._rows: Optional[np.ndarray] = None
 
     def sha1_rows(self) -> np.ndarray:
         """For each window here, the row of ``sha1s`` that holds its
-        SHA-1, or -1.  The popularity rule over ``entropies`` between
-        -inf ends is the selection the stream made, and the decided
-        features are its first ``len(sha1s) // 20``."""
-        if self._rows is None:
-            span, n = POPULARITY_SPAN, self.entropies.size
-            line = np.full(n + 2 * span, -np.inf)
-            line[span:span + n] = self.entropies
-            chosen = np.flatnonzero(_popular(line))[:len(self.sha1s) // 20]
-            self._rows = np.full(n, -1, dtype=np.int32)
-            self._rows[chosen] = np.arange(chosen.size)
-        return self._rows
+        SHA-1, or -1: ``selected`` scattered."""
+        rows = np.full(self.entropies.size, -1, dtype=np.int32)
+        rows[self.selected] = np.arange(self.selected.size, dtype=np.int32)
+        return rows
 
     def shared(self, data: bytes, buf: np.ndarray,
                starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -470,15 +465,13 @@ class WindowReference:
         empty = np.zeros(0, dtype=np.int32)
         if self.starts.size == 0:
             return empty, empty
-        if self._table is None:
-            mine = np.frombuffer(self.data, dtype=np.uint8)
-            # a repeated chunk keeps its first copy: any equal one serves
-            self._table = {}
-            bounds = _chunk_bounds(mine.size,
-                                   _cut_candidates(mine, self.starts))
-            for head, key in _chunk_keys(mine, bounds):
-                self._table.setdefault(key, head)
-        table, theirs = self._table, self.data
+        mine = np.frombuffer(self.data, dtype=np.uint8)
+        # a repeated chunk keeps its first copy: any equal one serves
+        table = {}
+        bounds = _chunk_bounds(mine.size, _cut_candidates(mine, self.starts))
+        for head, key in _chunk_keys(mine, bounds):
+            table.setdefault(key, head)
+        theirs = self.data
         own_heads, ref_heads, lengths = [], [], []
         bounds = _chunk_bounds(buf.size, _cut_candidates(buf, starts))
         for head, key in _chunk_keys(buf, bounds):
@@ -568,15 +561,12 @@ def _select(blobs: List[bytes],
         return cat, starts, file_of, None
     lent = None
     if reference is not None:
-        # the reference's selection first: its temporaries then overlap
-        # fewer of this pass's arrays
-        rows = reference.sha1_rows()
         own, theirs = reference.shared(cat, buf, starts)
         reference.reused += own.size
         reference.computed += starts.size - own.size
         if own.size:
             lent = np.full(starts.size, -1, dtype=np.int32)
-            lent[own] = rows[theirs]
+            lent[own] = reference.sha1_rows()[theirs]
             ent = np.empty(starts.size, dtype=np.float64)
             ent[own] = reference.entropies[theirs]
             del theirs
@@ -774,11 +764,12 @@ class StreamingDigestState:
     held-back windows and a 20-byte SHA-1 per selected feature (about
     0.14 byte per streamed byte of text).  The stream also keeps every
     window it computed, its start (uint32) and its entropy (float64), 12
-    bytes a window: about 0.75 byte per streamed byte of text at one
-    anchor in 16.  :meth:`window_reference` lends them to the digest of
-    the version this stream replaces.  They are dropped for good once
-    keeping them would pass 1 byte per streamed byte (a zero run anchors
-    every offset), and freed by :meth:`window_reference` and
+    bytes a window, and the index of each window it selected (int32), as
+    :meth:`_advance` decides it: about 0.74 byte per streamed byte of
+    text at one anchor in 16.  :meth:`window_reference` lends them to the
+    digest of the version this stream replaces.  They are dropped for
+    good once keeping them would pass 1 byte per streamed byte (a zero
+    run anchors every offset), and freed by :meth:`window_reference` and
     :meth:`finalize`.  :meth:`window_reference` also lends the SHA-1
     buffer, which the stream keeps for :meth:`finalize`.
 
@@ -789,8 +780,8 @@ class StreamingDigestState:
 
     __slots__ = ("total", "streaming", "consumed", "chunks_consumed",
                  "n_features", "retained_bytes", "_streamed", "_tail",
-                 "_left", "_pend_ent", "_pend_win", "_hashes", "_hasher",
-                 "_seen_starts", "_seen_ent")
+                 "_line", "_pend_win", "_decided", "_hashes", "_hasher",
+                 "_seen_starts", "_seen_ent", "_seen_sel")
 
     def __init__(self, streaming: bool = True) -> None:
         #: bytes received so far (every mode)
@@ -808,16 +799,20 @@ class StreamingDigestState:
         #: ``_STREAM_TAIL`` bytes, or a seed from :meth:`start`, none of
         #: whose windows is scanned yet
         self._tail = b""
-        self._left = np.full(POPULARITY_SPAN, -np.inf)
-        self._pend_ent = np.zeros(0, dtype=np.float64)
+        #: the popularity line still open: the last ``span`` decided
+        #: entropies (-inf before the first), then the held-back windows'
+        self._line = np.full(POPULARITY_SPAN, -np.inf)
         self._pend_win: List[bytes] = []
+        #: windows decided so far: the stream's index of the first held one
+        self._decided = 0
         #: the selected features' SHA-1s, in window order
         self._hashes: List[bytes] = []
         self._hasher = hashlib.blake2b(digest_size=16)
-        #: every computed window's start and entropy, per chunk; None once
-        #: dropped or handed out
+        #: every computed window's start and entropy, and the selected
+        #: windows' indices, per chunk; None once dropped or handed out
         self._seen_starts: Optional[List[np.ndarray]] = []
         self._seen_ent: List[np.ndarray] = []
+        self._seen_sel: List[np.ndarray] = []
         #: bytes those lists hold
         self.retained_bytes = 0
 
@@ -847,20 +842,22 @@ class StreamingDigestState:
         return self._hasher.copy().digest()
 
     def window_reference(self, data: bytes) -> WindowReference:
-        """The windows this stream computed, lent over ``data`` — the
-        bytes it saw — to the digest of the version they replace, with
-        the SHA-1 buffer :meth:`finalize` reads (joined once, here, and
-        kept joined).  The stream keeps none of the windows afterwards.
-        The reference holds no window when the stream never ran the
-        pipeline or dropped them."""
-        starts, ent = self._seen_starts, self._seen_ent
+        """The windows this stream computed and the ones it selected,
+        lent over ``data`` — the bytes it saw — to the digest of the
+        version they replace, with the SHA-1 buffer :meth:`finalize`
+        reads (joined once, here, and kept joined).  The stream keeps
+        none of the windows afterwards.  The reference holds no window
+        when the stream never ran the pipeline or dropped them."""
+        starts, ent, sel = self._seen_starts, self._seen_ent, self._seen_sel
         self._drop_windows()
         if not starts:
             return WindowReference(data, np.zeros(0, dtype=np.uint32),
-                                   np.zeros(0), b"")
+                                   np.zeros(0), b"",
+                                   np.zeros(0, dtype=np.int32))
         self._hashes = [b"".join(self._hashes)]
         return WindowReference(data, np.concatenate(starts),
-                               np.concatenate(ent), self._hashes[0])
+                               np.concatenate(ent), self._hashes[0],
+                               np.concatenate(sel))
 
     def finalize(self) -> Optional[SdDigest]:
         """Close the stream and return the digest (None exactly where
@@ -913,40 +910,44 @@ class StreamingDigestState:
         starts = starts[starts + (base + WINDOW) > t_old]
         if starts.size:
             ent = _window_entropies(buf, starts)
+            selected = self._advance(combined, starts.tolist(), ent)
             if self._seen_starts is not None:
-                self._retain(starts, base, ent, t_new)
-            self._advance(combined, starts.tolist(), ent)
+                self._retain(starts, base, ent, selected, t_new)
         self._streamed = t_new
         self._tail = combined[max(0, len(combined) - _STREAM_TAIL):]
 
     def _retain(self, starts: np.ndarray, base: int, ent: np.ndarray,
-                streamed: int) -> None:
-        """Keep a chunk's windows (``starts`` at ``base`` in the stream),
-        or drop every kept one for good when they would pass 1 byte per
-        streamed byte (or a uint32 offset)."""
-        kept = self.retained_bytes + starts.size * (4 + 8)
+                selected: np.ndarray, streamed: int) -> None:
+        """Keep a chunk's windows (``starts`` at ``base`` in the stream)
+        and the windows just selected, or drop every kept one for good
+        when they would pass 1 byte per streamed byte (or a uint32
+        offset)."""
+        kept = (self.retained_bytes + starts.size * (4 + 8)
+                + selected.size * 4)
         if kept > streamed or streamed > 0xFFFFFFFF:
             self._drop_windows()
             return
         self._seen_starts.append(np.add(starts, base, dtype=np.uint32,
                                         casting="unsafe"))
         self._seen_ent.append(ent)
+        self._seen_sel.append(selected)
         self.retained_bytes = kept
 
     def _drop_windows(self) -> None:
         self._seen_starts = None
         self._seen_ent = []
+        self._seen_sel = []
         self.retained_bytes = 0
 
     def _advance(self, combined: bytes, starts: List[int],
-                 ent: np.ndarray) -> None:
+                 ent: np.ndarray) -> np.ndarray:
         """Decide every candidate that has ``POPULARITY_SPAN`` right
         neighbours and hash the kept ones; hold back the rest.  The
         candidates are the held-back windows, then this chunk's windows
-        at ``starts`` in ``combined``."""
+        at ``starts`` in ``combined``.  Returns the stream's index of
+        each kept window (int32)."""
         held = self._pend_win
-        if held:
-            ent = np.concatenate([self._pend_ent, ent])
+        line = np.concatenate([self._line, ent])
 
         def window(i: int) -> bytes:
             if i < len(held):
@@ -954,15 +955,17 @@ class StreamingDigestState:
             start = starts[i - len(held)]
             return combined[start:start + WINDOW]
 
-        decide = ent.size - POPULARITY_SPAN
-        if decide > 0:
-            line = np.concatenate([self._left, ent])
-            self._left = line[decide:decide + POPULARITY_SPAN].copy()
-            keep = np.flatnonzero(_popular(line)).tolist()
-            self._hashes.append(_sha1s([window(i) for i in keep]))
-        lo = max(decide, 0)
-        self._pend_ent = ent[lo:].copy()
-        self._pend_win = [window(i) for i in range(lo, ent.size)]
+        decide = max(line.size - 2 * POPULARITY_SPAN, 0)
+        keep = (np.flatnonzero(_popular(line)) if decide
+                else np.zeros(0, dtype=np.intp))
+        self._hashes.append(_sha1s([window(i) for i in keep.tolist()]))
+        selected = np.add(keep, self._decided, dtype=np.int32,
+                          casting="unsafe")
+        self._decided += decide
+        self._line = line[decide:].copy()
+        self._pend_win = [window(i) for i in
+                          range(decide, line.size - POPULARITY_SPAN)]
+        return selected
 
 
 # -- compare ------------------------------------------------------------------

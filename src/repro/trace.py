@@ -12,7 +12,9 @@ module implements exactly that trade:
 * :func:`replay_trace` re-executes a trace against a fresh machine (same
   corpus) with any detector configuration attached — so one captured
   incident can be re-analysed under different thresholds, indicator sets,
-  or future detector versions without re-running the malware.
+  or future detector versions without re-running the malware.  It applies
+  each record with :func:`apply_record`, the one record-kind dispatch,
+  which the ingest tier's shards (:mod:`repro.ingest.shard`) call too.
 
 Traces are plain lists of tuples and serialise with ``json`` (payloads
 hex-encoded) for archival.
@@ -33,8 +35,8 @@ from .fs.filters import FilterDriver, PostVerdict
 from .fs.paths import WinPath
 from .sandbox.machine import VirtualMachine
 
-__all__ = ["TraceRecord", "TraceRecorder", "replay_trace", "trace_to_json",
-           "trace_from_json"]
+__all__ = ["TraceRecord", "TraceRecorder", "apply_record", "replay_trace",
+           "trace_to_json", "trace_from_json"]
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,52 @@ class TraceRecorder(FilterDriver):
         return PostVerdict.ALLOW
 
 
+def apply_record(vfs, pid: int, record: TraceRecord,
+                 handles: Dict[Tuple[int, str], object]) -> None:
+    """Re-execute one record as replay process ``pid`` on ``vfs``.
+
+    ``handles`` maps ``(pid, lowercased path)`` to the handle an OPEN or
+    CREATE record opened; a READ, WRITE, TRUNCATE or CLOSE of a path with
+    no open handle is skipped, and a RENAME re-keys the renamed path's
+    handle (live handles follow the node).  VFS errors, suspension
+    included, propagate: the caller decides whether to stop, skip or
+    retry.
+    """
+    path = WinPath(record.path)
+    key = (pid, record.path.lower())
+    if record.kind == "mkdir":
+        vfs.mkdir(pid, path, exist_ok=True)
+    elif record.kind == "create":
+        handles[key] = vfs.open(pid, path, "rw", create=True)
+    elif record.kind == "open":
+        handles[key] = vfs.open(pid, path, "rw", truncate=record.truncate)
+    elif record.kind == "read":
+        handle = handles.get(key)
+        if handle is not None:
+            vfs.seek(pid, handle, record.offset)
+            vfs.read(pid, handle, record.size)
+    elif record.kind == "write":
+        handle = handles.get(key)
+        if handle is not None and record.data is not None:
+            vfs.seek(pid, handle, record.offset)
+            vfs.write(pid, handle, record.data)
+    elif record.kind == "truncate":
+        handle = handles.get(key)
+        if handle is not None and record.new_size is not None:
+            vfs.truncate_handle(pid, handle, record.new_size)
+    elif record.kind == "close":
+        handle = handles.pop(key, None)
+        if handle is not None:
+            vfs.close(pid, handle)
+    elif record.kind == "rename":
+        vfs.rename(pid, path, WinPath(record.dest))
+        moved = handles.pop(key, None)
+        if moved is not None:
+            handles[(pid, record.dest.lower())] = moved
+    elif record.kind == "delete":
+        vfs.delete(pid, path)
+
+
 def replay_trace(records: List[TraceRecord], corpus: GeneratedCorpus,
                  config: Optional[CryptoDropConfig] = None,
                  telemetry=None
@@ -116,42 +164,8 @@ def replay_trace(records: List[TraceRecord], corpus: GeneratedCorpus,
 
     for record in records:
         pid = replay_pid(record.pid)
-        path = WinPath(record.path)
-        key = (pid, record.path.lower())
         try:
-            if record.kind == "mkdir":
-                vfs.mkdir(pid, path, exist_ok=True)
-            elif record.kind == "create":
-                open_handles[key] = vfs.open(pid, path, "rw", create=True)
-            elif record.kind == "open":
-                open_handles[key] = vfs.open(pid, path, "rw",
-                                             truncate=record.truncate)
-            elif record.kind == "read":
-                handle = open_handles.get(key)
-                if handle is not None:
-                    vfs.seek(pid, handle, record.offset)
-                    vfs.read(pid, handle, record.size)
-            elif record.kind == "write":
-                handle = open_handles.get(key)
-                if handle is not None and record.data is not None:
-                    vfs.seek(pid, handle, record.offset)
-                    vfs.write(pid, handle, record.data)
-            elif record.kind == "truncate":
-                handle = open_handles.get(key)
-                if handle is not None and record.new_size is not None:
-                    vfs.truncate_handle(pid, handle, record.new_size)
-            elif record.kind == "close":
-                handle = open_handles.pop(key, None)
-                if handle is not None:
-                    vfs.close(pid, handle)
-            elif record.kind == "rename":
-                vfs.rename(pid, path, WinPath(record.dest))
-                # live handles follow the node; re-key our map too
-                moved = open_handles.pop(key, None)
-                if moved is not None:
-                    open_handles[(pid, record.dest.lower())] = moved
-            elif record.kind == "delete":
-                vfs.delete(pid, path)
+            apply_record(vfs, pid, record, open_handles)
         except ProcessSuspended:
             break
         except FsError:

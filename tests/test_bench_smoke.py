@@ -228,19 +228,11 @@ def campaign_sweep():
 
 @pytest.fixture(scope="module")
 def telemetry_overhead():
-    """The close-heavy loop as interleaved baseline/off/on triples; the
-    baseline leg is equally telemetry-free, so the disabled/baseline
-    ratio bounds what an emit guard costs plus noise."""
-    baseline_times, off_times, off_ratios = [], [], []
-    off_stats = on_stats = export = None
-    for _ in range(4):
-        t_base = close_heavy_campaign(**CLOSE_HEAVY)[0]
-        t_off, off_stats, _ = close_heavy_campaign(**CLOSE_HEAVY)
-        _, on_stats, export = close_heavy_campaign(**CLOSE_HEAVY,
-                                                   telemetry=True)
-        baseline_times.append(t_base)
-        off_times.append(t_off)
-        off_ratios.append(t_off / t_base)
+    """The close-heavy loop with telemetry off and on.  What the disabled
+    path costs is timed by ``make bench-ab``
+    (``benchmarks/bench_ab.py::test_telemetry_off_lt_1p02_of_baseline``)."""
+    _, off_stats, _ = close_heavy_campaign(**CLOSE_HEAVY)
+    _, on_stats, export = close_heavy_campaign(**CLOSE_HEAVY, telemetry=True)
 
     def counter_view(stats) -> dict:
         view = dict(stats)
@@ -251,8 +243,6 @@ def telemetry_overhead():
                 CryptoDropConfig(telemetry_enabled=enabled))
             for label, enabled in (("off", False), ("on", True))}
     return {
-        "disabled_vs_baseline": round(min(
-            min(off_ratios), min(off_times) / min(baseline_times)), 4),
         "events_captured": export["bus"]["emitted"],
         "counters_identical": counter_view(off_stats)
                               == counter_view(on_stats),
@@ -613,12 +603,6 @@ class TestInvariantsAndSpeedups:
 
 
 class TestTelemetryOverhead:
-    def test_disabled_path_costs_under_two_percent(self, telemetry_overhead):
-        # with telemetry disabled every emit point is a single None
-        # check, so the close-heavy workload runs within 2% of the
-        # equally telemetry-free baseline leg
-        assert telemetry_overhead["disabled_vs_baseline"] < 1.02
-
     def test_enabled_path_captures_events(self, telemetry_overhead):
         assert telemetry_overhead["events_captured"] > 0
 

@@ -525,19 +525,6 @@ class TestIncrementalEntropy:
                                                               len(blob))
             assert a.state() == b.state()
 
-    def test_stream_entropy_tracks_chunked_writes(self, env):
-        vfs, monitor, pid = env()
-        chunks = [_text(30, 1500), random.Random(31).randbytes(900),
-                  b"tail"]
-        handle = vfs.open(pid, DOCUMENTS / "doc5.txt", "rw")
-        for chunk in chunks:
-            vfs.write(pid, handle, chunk)
-        assert monitor.engine.stream_entropy_of(handle.handle_id) == \
-            corrected_entropy(b"".join(chunks))
-        vfs.close(pid, handle)
-        # histogram dropped with the handle
-        assert monitor.engine.stream_entropy_of(handle.handle_id) is None
-
     def test_weighted_mean_identical_through_engine(self, env):
         # the per-op entropy deltas the engine folds must match feeding
         # the raw payloads straight into a reference mean

@@ -4,10 +4,12 @@ import pytest
 
 from repro.baselines import no_union
 from repro.core import CryptoDropMonitor
+from repro.fs import DOCUMENTS, WinPath
+from repro.ingest.shard import MonitorShard
 from repro.ransomware import cohort_by_family, instantiate
 from repro.sandbox import VirtualMachine
-from repro.trace import (TraceRecorder, replay_trace, trace_from_json,
-                         trace_to_json)
+from repro.trace import (TraceRecord, TraceRecorder, replay_trace,
+                         trace_from_json, trace_to_json)
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +113,69 @@ class TestSerialisation:
         monitor, _machine = replay_trace(restored, small_corpus)
         assert monitor.detected
         assert monitor.detections[0].score == live[0].score
+
+
+class TestOneDispatch:
+    """``replay_trace`` and an ingest shard apply records through the one
+    dispatch, ``apply_record``: a hand-built trace holding every record
+    kind leaves the same file tree both ways."""
+
+    DRAFTS = str(DOCUMENTS / "Drafts")
+    TEXT = b"".join(b"line %04d of the draft\n" % i for i in range(100))
+
+    def _records(self):
+        d = self.DRAFTS
+        return [
+            TraceRecord("mkdir", 7, d),
+            TraceRecord("create", 7, d + r"\a.txt"),
+            TraceRecord("write", 7, d + r"\a.txt", data=b"first" * 400),
+            TraceRecord("close", 7, d + r"\a.txt"),
+            TraceRecord("open", 7, d + r"\A.TXT", truncate=True),
+            TraceRecord("write", 7, d + r"\a.txt", data=self.TEXT),
+            TraceRecord("read", 7, d + r"\a.txt", offset=10, size=100),
+            TraceRecord("write", 7, d + r"\a.txt", data=b"PATCH",
+                        offset=200),
+            TraceRecord("truncate", 7, d + r"\a.txt", new_size=1500),
+            # the open handle follows the rename
+            TraceRecord("rename", 7, d + r"\a.txt", dest=d + r"\b.txt"),
+            TraceRecord("write", 7, d + r"\b.txt", data=b"after the move",
+                        offset=1500),
+            TraceRecord("close", 7, d + r"\b.txt"),
+            TraceRecord("create", 9, d + r"\c.txt"),
+            TraceRecord("write", 9, d + r"\c.txt", data=b"short-lived"),
+            TraceRecord("close", 9, d + r"\c.txt"),
+            TraceRecord("delete", 9, d + r"\c.txt"),
+            # no open handle: skipped
+            TraceRecord("write", 9, d + r"\b.txt", data=b"lost", offset=0),
+        ]
+
+    @staticmethod
+    def _tree(vfs):
+        return {str(path).lower(): node.read_bytes()
+                for path, node in vfs.peek_walk_files(WinPath("C:\\"))}
+
+    def test_replay_and_shard_leave_the_same_tree(self, small_corpus):
+        records = self._records()
+        _monitor, machine = replay_trace(records, small_corpus)
+        replayed = self._tree(machine.vfs)
+
+        shard = MonitorShard("t0", VirtualMachine(small_corpus), records)
+        shard.start()
+        tick = 0
+        while not shard.done:
+            shard.pump(4)
+            shard.step(tick, 4)
+            tick += 1
+        ingested = self._tree(shard.vfs)
+        assert shard.stats()["applied"] == len(records)
+        assert shard.dropped == 0
+        shard.stop()
+
+        assert ingested == replayed
+        pristine = self._tree(VirtualMachine(small_corpus).vfs)
+        added = {path: data for path, data in replayed.items()
+                 if pristine.get(path) != data}
+        patched = self.TEXT[:200] + b"PATCH" + self.TEXT[205:1500]
+        assert added == {
+            (self.DRAFTS + r"\b.txt").lower(): patched + b"after the move"}
+        assert set(pristine) <= set(replayed)

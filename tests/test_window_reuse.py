@@ -450,3 +450,74 @@ def test_a_reference_is_what_a_stream_lends():
     assert state.retained_bytes == 0
     assert state.window_reference(data).starts.size == 0
     _same(state.finalize(), sdhash(data))
+
+
+# -- the recorded selection ---------------------------------------------------
+
+
+class TestRecordedSelection:
+    """The stream records the index of each window it selects as it
+    decides it; the old version's digest scatters that record instead of
+    running the popularity rule over the reference's windows again."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls of ``_popular`` and of ``WindowReference.sha1_rows``."""
+        counts = {"popular": 0, "sha1_rows": 0}
+        popular, sha1_rows = sdhash_mod._popular, WindowReference.sha1_rows
+
+        def counting_popular(line):
+            counts["popular"] += 1
+            return popular(line)
+
+        def counting_rows(reference):
+            counts["sha1_rows"] += 1
+            return sha1_rows(reference)
+
+        monkeypatch.setattr(sdhash_mod, "_popular", counting_popular)
+        monkeypatch.setattr(WindowReference, "sha1_rows", counting_rows)
+        return counts
+
+    def test_a_save_runs_the_popularity_rule_once(self, calls):
+        rng, pool = random.Random(7), _pool(7)
+        old = _text(rng, pool, 1 << 20)
+        new = _edit(rng, pool, old)
+        reference = _stream(new).window_reference(new)
+        calls.update(popular=0, sha1_rows=0)  # the stream's own
+        got = digest_many([old], reference=reference)[0]
+        assert calls == {"popular": 1, "sha1_rows": 1}
+        assert reference.reused > 3 * reference.computed
+        _same(got, sdhash(old))
+
+    def test_an_unshared_reference_builds_no_row_array(self, calls):
+        rng = random.Random(9)
+        old = _text(rng, POOL, 1 << 20)
+        other = rng.randbytes(1 << 20)
+        reference = _stream(other).window_reference(other)
+        calls.update(popular=0, sha1_rows=0)
+        got = digest_many([old], reference=reference)[0]
+        assert calls == {"popular": 1, "sha1_rows": 0}
+        assert reference.reused == 0
+        _same(got, sdhash(old))
+
+    def test_the_record_is_counted_in_retained_bytes(self):
+        data = _text(random.Random(12), POOL, 300_000)
+        state = _stream(data)
+        retained = state.retained_bytes
+        reference = state.window_reference(data)
+        selected = reference.selected
+        assert selected.dtype == np.int32
+        assert selected.size == len(reference.sha1s) // 20 > 0
+        assert retained == 12 * reference.starts.size + 4 * selected.size
+
+    def test_a_stream_that_dropped_its_windows_hands_over_an_empty_record(
+            self):
+        """Text, whose selected windows the stream records, then a zero
+        run, which makes it drop them all."""
+        data = _text(random.Random(13), POOL, 1 << 19) + bytes(1 << 19)
+        state = _stream(data)
+        reference = state.window_reference(data)
+        assert reference.starts.size == reference.selected.size == 0
+        assert reference.selected.dtype == np.int32
+        assert reference.sha1_rows().size == 0
+        _same(state.finalize(), sdhash(data))

@@ -2,7 +2,7 @@
 working tree, called alternately in one process.
 
     python3 benchmarks/kernel_pairs.py --base HEAD --fn digest_many \
-        --input save:1M,2.5M,4M --pairs 40 [--control]
+        --input save:1M,2.5M,4M [--pairs 120] [--control]
     make kernel-pairs BASE=HEAD FN=digest_many INPUT=save:1M,2.5M,4M \
         [CONTROL=1]
 
@@ -80,6 +80,10 @@ KERNELS = ("sdhash", "window_entropies", "digest_many", "stream",
            "compare")
 #: the write size ``stream`` feeds, bulk_append's
 STREAM_CHUNK = 64 << 10
+#: rounds per leg: at 40 a base-against-itself control read 0.881x at
+#: 4 MiB on a loaded 2-CPU host, at 120 every control stayed within
+#: 0.97-1.04x, so a few percent is resolved by default
+DEFAULT_PAIRS = 120
 
 
 class Case(NamedTuple):
@@ -269,17 +273,22 @@ def _extract(base: str, into: Path) -> None:
                    check=True)
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The command line; ``--pairs`` defaults to ``DEFAULT_PAIRS``."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True,
                         help="commit to compare the working tree against")
     parser.add_argument("--fn", required=True, choices=KERNELS)
     parser.add_argument("--input", required=True,
                         help="kind:size[,size...], one leg per size")
-    parser.add_argument("--pairs", type=int, default=40)
+    parser.add_argument("--pairs", type=int, default=DEFAULT_PAIRS)
     parser.add_argument("--control", action="store_true",
                         help="also time the base against itself")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     kind, sizes = parse_input(args.input)
     # leave the allocator as perfbench's set-up does: once a freed block
     # of 16 MiB or more has raised glibc's thresholds, a call's scratch

@@ -38,11 +38,13 @@ buffer, :func:`_bloom_rows` scatters every filter of a buffer into one
 bit matrix and packs it once).  :func:`sdhash` is the batched kernel run
 on a batch of one; a stream collects its features' SHA-1s as it goes
 and builds its filters once, at :meth:`~StreamingDigestState.finalize`.
-A :class:`WindowReference` — the window entropies and feature SHA-1s a
-stream computed for a related version — lets :func:`digest_many` skip
-the entropy, and the SHA-1 where the stream selected it, of every
-window inside a content-defined chunk the two versions share byte for
-byte.  :func:`compare` scores a pair on Python ints, or, from
+A :class:`WindowReference` — the windows, entropies and feature SHA-1s
+a stream computed for a related version — lets :func:`digest_many` skip
+the anchor scan, the entropy, and the SHA-1 where the stream selected
+it, of every window inside a run of bytes the two versions share, found
+by walking the stream's content-defined chunks in order (:class:`_Walk`);
+only the gaps between runs are scanned and computed.
+:func:`compare` scores a pair on Python ints, or, from
 ``_WORDS_MIN_PAIRS`` filter pairs on, with one popcount over the AND of
 every pair's uint64 words.
 The per-feature / per-pair scalar reading of the same definition lives
@@ -54,6 +56,7 @@ in ``tests/reference.py``; the golden equivalence tests
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 from typing import List, Optional, Tuple
 
@@ -383,31 +386,264 @@ def _cut_candidates(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
 def _chunk_bounds(size: int, cuts: np.ndarray) -> np.ndarray:
     """Content-defined chunk boundaries of a ``size``-byte buffer whose
     candidates are ``cuts`` (ascending): 0, each candidate at least
-    ``_MIN_CHUNK`` past the boundary before it, and ``size``.  One
-    ``searchsorted`` per chunk, however many candidates there are."""
-    bounds = [0]
-    while True:
-        i = int(cuts.searchsorted(bounds[-1] + _MIN_CHUNK))
-        if i == cuts.size:
-            break
-        bounds.append(int(cuts[i]))
-    bounds.append(size)
-    return np.array(bounds, dtype=np.int64)
+    ``_MIN_CHUNK`` past the boundary before it, and ``size``.
+
+    A candidate ``_MIN_CHUNK`` or more past the candidate before it is a
+    boundary whatever precedes it (no boundary can lie between the two),
+    so only the candidates between two such heads need the chain from
+    their head; every head's chain is followed at once, a step per
+    chunk of the longest, so text (clusters of two or three candidates)
+    takes a few vectorised steps, not one ``searchsorted`` per chunk."""
+    cuts = cuts[cuts.searchsorted(cuts.dtype.type(_MIN_CHUNK)):]
+    if cuts.size == 0:
+        return np.array([0, size], dtype=np.int64)
+    heads = np.concatenate(([0], np.flatnonzero(np.diff(cuts)
+                                                >= _MIN_CHUNK) + 1))
+    ends = np.append(heads[1:], cuts.size)
+    chained = ends - heads > 1
+    picked = [heads]
+    at, end = heads[chained], ends[chained]
+    while at.size:
+        at = cuts.searchsorted(cuts[at] + _MIN_CHUNK)
+        more = at < end
+        at, end = at[more], end[more]
+        picked.append(at)
+    picked = np.concatenate(picked)
+    picked.sort()
+    bounds = np.empty(picked.size + 2, dtype=np.int64)
+    bounds[0], bounds[-1] = 0, size
+    bounds[1:-1] = cuts[picked]
+    return bounds
 
 
 def _chunk_keys(buf: np.ndarray, bounds: np.ndarray):
-    """Each chunk long enough to hold a window, as ``(start, key)``; the
-    key (length, first and last 8 bytes) only finds candidates, a byte
-    comparison decides."""
+    """Each chunk long enough to hold a window, as ``(index, key)``: its
+    index in ``bounds`` and a key (length, first and last 8 bytes) that
+    only finds candidates, a byte comparison decides."""
     heads, ends = bounds[:-1], bounds[1:]
-    fits = ends - heads >= WINDOW + 8
-    heads, ends = heads[fits], ends[fits]
-    if heads.size == 0:
+    fits = np.flatnonzero(ends - heads >= WINDOW + 8)
+    if fits.size == 0:
         return []
+    heads, ends = heads[fits], ends[fits]
     words = _words(buf)
-    return zip(heads.tolist(), zip((ends - heads).tolist(),
-                                   words[heads].tolist(),
-                                   words[ends - 8].tolist()))
+    return zip(fits.tolist(), zip((ends - heads).tolist(),
+                                  words[heads].tolist(),
+                                  words[ends - 8].tolist()))
+
+
+def _reach(equal, room: int) -> int:
+    """The longest span ``k <= room`` with ``equal(0, k)``, where
+    ``equal(lo, hi)`` compares ``[lo, hi)`` of two byte strings whose
+    ``[0, lo)`` is known equal: spans growing fourfold from ``WINDOW``,
+    then a bisection of the one that differs, so the bytes compared stay
+    within a few times the answer, each compare a ``memcmp``."""
+    lo, hi, step = 0, room, WINDOW
+    while lo < hi:
+        mid = min(hi, lo + step)
+        if not equal(lo, mid):
+            hi = mid - 1
+            break
+        lo, step = mid, 4 * step
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if equal(lo, mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+#: consecutive chunks of the reference the walk may find out of place
+#: (a replaced span) before it stops predicting their offsets and
+#: matches the old version's chunks by key instead (an insert, a
+#: delete, moved or unrelated content)
+_WALK_MISSES = 8
+#: bytes of the old version the first block of key matching covers; a
+#: block that matches nothing doubles the next, so unrelated content is
+#: scanned once, in a few calls
+_LOST_BLOCK = 1 << 15
+
+
+class _Walk:
+    """The old version ``data`` (``buf`` its array) walked in order
+    against the content-defined chunks of a reference ``ref``.
+
+    :meth:`walk` finds the runs ``[o, r, n]`` with
+    ``data[o:o + n] == ref.data[r:r + n]``, ascending and disjoint in
+    ``data``: each chunk of ``ref`` is compared, as one ``memcmp``, at
+    the offset of ``data`` the chunk before it predicts.  A miss skips
+    the chunk there (an edit in place keeps its length); ``_WALK_MISSES``
+    misses in a row (an insert, a delete, moved or unrelated content),
+    or a streak that runs past the end of ``data``, hand ``data`` from
+    the first byte the first of them differs in to key matching
+    (:meth:`_lost`), which resumes the walk after a chunk it finds.
+    Every run then grows over the bytes its neighbours still share
+    (:meth:`_widen`), so a gap holds little more than changed bytes.
+    :meth:`anchors` finds the anchor offsets of any span of ``data``,
+    scanning only what no earlier call scanned.
+    """
+
+    def __init__(self, ref: "WindowReference", data: bytes,
+                 buf: np.ndarray) -> None:
+        self.data, self.buf = data, buf
+        self.mine = np.frombuffer(ref.data, dtype=np.uint8)
+        self.view = memoryview(ref.data)
+        self.bounds = _chunk_bounds(
+            self.mine.size, _cut_candidates(self.mine, ref.starts)).tolist()
+        self.runs: List[List[int]] = []
+        self._table: Optional[dict] = None
+        #: the spans of ``data`` scanned so far, disjoint and ascending:
+        #: their ends, and ``(start, anchor offsets)``
+        self._ends: List[int] = []
+        self._scanned: List[Tuple[int, np.ndarray]] = []
+
+    # -- anchors --------------------------------------------------------
+
+    def anchors(self, lo: int, hi: int) -> np.ndarray:
+        """The anchor offsets ``s`` of ``data`` with ``lo <= s < hi``
+        (``s`` anchors the window starting there), ascending int64."""
+        lo = max(lo, 8)
+        parts, at = [], lo
+        i = bisect.bisect_right(self._ends, lo)
+        while at < hi and i < len(self._ends):
+            start, found = self._scanned[i]
+            if start >= hi:
+                break
+            if start > at:
+                parts.append(self._scan(at, start))
+                i += 1  # the span just scanned sits before this one
+            stop = min(hi, self._ends[i])
+            parts.append(found[found.searchsorted(max(at, start)):
+                               found.searchsorted(stop)])
+            at, i = stop, i + 1
+        if at < hi:
+            parts.append(self._scan(at, hi))
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts) if parts else np.zeros(0, np.int64)
+
+    def _scan(self, lo: int, hi: int) -> np.ndarray:
+        """:func:`_anchor_starts` over the bytes the offsets ``[lo, hi)``
+        read, kept for later calls."""
+        found = _anchor_starts(self.buf[lo - 8:hi - 1]) + (lo - 8)
+        i = bisect.bisect_left(self._ends, hi)
+        self._ends.insert(i, hi)
+        self._scanned.insert(i, (lo, found))
+        return found
+
+    # -- the walk -------------------------------------------------------
+
+    def _add(self, o: int, r: int, n: int) -> None:
+        """A run, merged into the last one when it continues it."""
+        if self.runs:
+            last = self.runs[-1]
+            if last[0] + last[2] == o and last[1] + last[2] == r:
+                last[2] += n
+                return
+        self.runs.append([o, r, n])
+
+    def walk(self) -> List[List[int]]:
+        """The runs, found as the class describes and widened by
+        :meth:`_widen`."""
+        data, view, bounds = self.data, self.view, self.bounds
+        last, n = len(bounds) - 1, len(data)
+        at = chunk = misses = lost = lost_ref = 0
+        while True:
+            if at < n and chunk < last and misses < _WALK_MISSES:
+                lo, hi = bounds[chunk], bounds[chunk + 1]
+                if data.startswith(view[lo:hi], at):
+                    self._add(at, lo, hi - lo)
+                    misses = 0
+                else:
+                    if not misses:
+                        lost, lost_ref = at, lo
+                    misses += 1
+                at, chunk = at + hi - lo, chunk + 1
+                continue
+            # lost its way, ran out of chunks, or out of ``data`` in the
+            # middle of a miss streak: match by key from the first byte
+            # that differs at the last offset predicted
+            if misses:
+                at = lost + _reach(lambda a, b: data.startswith(
+                    view[lost_ref + a:lost_ref + b], lost + a),
+                    min(n - lost, len(view) - lost_ref))
+            elif at >= n:
+                break
+            found = self._lost(at)
+            if found is None:
+                break
+            (at, chunk), misses = found, 0
+        return self._widen()
+
+    def _lost(self, lo: int) -> Optional[Tuple[int, int]]:
+        """Match ``data``'s chunks from ``lo`` on against the reference's
+        table, a block at a time; each block starts at the last boundary
+        of the one before, so the chunks are those one pass would cut.
+        Every match is a run.  Returns the offset and chunk after the
+        last match of the first block with one, or None at the end."""
+        buf, n = self.buf, self.buf.size
+        top = n - WINDOW + 1  # window starts lie below
+        size = _LOST_BLOCK
+        while lo < top:
+            hi = min(top, lo + size)
+            final = hi == top
+            cuts = _cut_candidates(buf, self.anchors(lo, hi)) - lo
+            bounds = _chunk_bounds((n if final else hi) - lo, cuts) + lo
+            if not final:
+                bounds = bounds[:-1]  # its last chunk runs on
+            found = self._matches(bounds)
+            if found is not None:
+                return found
+            if final:
+                break
+            lo, size = int(bounds[-1]), 2 * size
+        return None
+
+    def _matches(self, bounds: np.ndarray) -> Optional[Tuple[int, int]]:
+        """The chunks of ``data`` between ``bounds`` that the reference
+        holds, added as runs; the offset and chunk after the last one."""
+        if self._table is None:
+            # a repeated chunk keeps its first copy: any equal one serves
+            self._table = {}
+            for index, key in _chunk_keys(self.mine, np.array(self.bounds)):
+                self._table.setdefault(key, index)
+        data, view, theirs = self.data, self.view, self.bounds
+        heads = bounds.tolist()
+        found = None
+        for index, key in _chunk_keys(self.buf, bounds):
+            chunk = self._table.get(key)
+            if chunk is None:
+                continue
+            head, lo = heads[index], theirs[chunk]
+            if data.startswith(view[lo:lo + key[0]], head):
+                self._add(head, lo, key[0])
+                found = head + key[0], chunk + 1
+        return found
+
+    def _widen(self) -> List[List[int]]:
+        """Each run grown back and forth over the bytes ``data`` and the
+        reference still share at its offset, up to its neighbours; runs
+        that then meet at one offset merge."""
+        data, view, runs = self.data, self.view, self.runs
+        size, theirs = len(data), len(view)
+        out: List[List[int]] = []
+        done = 0
+        for i, (o, r, n) in enumerate(runs):
+            back = _reach(lambda lo, hi: data.endswith(
+                view[r - hi:r - lo], 0, o - lo), min(o - done, r))
+            o, r, n = o - back, r - back, n + back
+            nxt = runs[i + 1][0] if i + 1 < len(runs) else size
+            end = o + n
+            n += _reach(lambda lo, hi: data.startswith(
+                view[r + n + lo:r + n + hi], end + lo),
+                min(nxt - end, theirs - r - n))
+            if out and out[-1][0] + out[-1][2] == o \
+                    and out[-1][0] - out[-1][1] == o - r:
+                out[-1][2] += n
+            else:
+                out.append([o, r, n])
+            done = o + n
+        return out
 
 
 class WindowReference:
@@ -421,16 +657,17 @@ class WindowReference:
     index of each of those windows (ascending, int32) — what a
     :class:`StreamingDigestState` computed and decided while the version
     streamed.
-    Given one, :func:`digest_many` cuts its input and ``data`` into
-    content-defined chunks, and every window of the input inside a chunk
-    that ``data`` holds byte for byte takes the lent entropy, and its
-    SHA-1 too when this version selected it; the rest are computed.  An
-    anchor decision reads only a window's 8 context bytes and its
+    Given one, :func:`digest_many` walks its input against this
+    version's content-defined chunks in order (:class:`_Walk`), and
+    every window inside a run of bytes the two hold alike takes its
+    start and entropy from here, and its SHA-1 too when this version
+    selected it; only the gaps between runs are anchored and computed.
+    An anchor decision reads only a window's 8 context bytes and its
     entropy and SHA-1 only its 64 bytes, and :func:`_window_entropies`
     gives a window the same float64 whatever call computes it, so equal
-    chunks hold the same windows at the same relative offsets with the
+    runs hold the same windows at the same relative offsets with the
     same entropies: the digest is bit for bit the one computed from
-    scratch.  The chunk rule decides only how much is reused.
+    scratch.  The walk decides only how much is reused.
     ``reused`` and ``computed`` count the windows each way.
     """
 
@@ -455,48 +692,64 @@ class WindowReference:
         rows[self.selected] = np.arange(self.selected.size, dtype=np.int32)
         return rows
 
-    def shared(self, data: bytes, buf: np.ndarray,
-               starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The windows at ``starts`` in ``data`` (``buf`` is its array)
-        that lie inside a chunk this reference holds byte for byte, as
-        indices into ``starts`` and the matching indices into
-        ``self.starts`` (int32).  A window lies inside a chunk when its 8
-        context bytes and its 64 bytes do."""
-        empty = np.zeros(0, dtype=np.int32)
-        if self.starts.size == 0:
-            return empty, empty
-        mine = np.frombuffer(self.data, dtype=np.uint8)
-        # a repeated chunk keeps its first copy: any equal one serves
-        table = {}
-        bounds = _chunk_bounds(mine.size, _cut_candidates(mine, self.starts))
-        for head, key in _chunk_keys(mine, bounds):
-            table.setdefault(key, head)
-        theirs = self.data
-        own_heads, ref_heads, lengths = [], [], []
-        bounds = _chunk_bounds(buf.size, _cut_candidates(buf, starts))
-        for head, key in _chunk_keys(buf, bounds):
-            at = table.get(key)
-            n = key[0]
-            if at is not None and data[head:head + n] == theirs[at:at + n]:
-                own_heads.append(head)
-                ref_heads.append(at)
-                lengths.append(n)
-        if not lengths:
-            return empty, empty
-        # per-chunk values in the dtype of the array each one searches, so
-        # no search converts a per-window array
-        own_heads = np.array(own_heads, dtype=starts.dtype)
-        ref_heads = np.array(ref_heads, dtype=self.starts.dtype)
-        tails = np.array(lengths, dtype=starts.dtype) - WINDOW
-        first = starts.searchsorted(own_heads + 8)
-        counts = starts.searchsorted(own_heads + tails, side="right") - first
-        # equal chunks anchor the same windows, so the reference's run
-        # starts at its chunk's first window and is as long
-        shift = self.starts.searchsorted(ref_heads + 8) - first
-        own = np.arange(int(counts.sum()), dtype=np.int32)
-        own += np.repeat((first - (np.cumsum(counts) - counts))
-                         .astype(np.int32), counts)
-        return own, own + np.repeat(shift.astype(np.int32), counts)
+    def shared(self, data: bytes) -> Tuple[np.ndarray, np.ndarray,
+                                           np.ndarray, np.ndarray]:
+        """The windows of ``data``, with what this version lends them:
+        every anchored window start (ascending, int32), its entropy and
+        its row of ``sha1s`` (int32, -1 where it has none), and the
+        indices of the windows it lends nothing, whose entropies are left
+        for the caller to compute.
+
+        A window whose 8 context bytes and 64 bytes lie inside a run the
+        walk found (:meth:`_Walk.walk`) is this version's window at the
+        run's offset, so its start, entropy and row are read from here
+        as slices; only the gaps between runs, with their 8- and 64-byte
+        margins, are anchored, from what the walk scanned or by a scan.
+        ``sha1_rows`` runs once, and only if a window is lent."""
+        buf = np.frombuffer(data, dtype=np.uint8)
+        top = buf.size - WINDOW + 1  # window starts lie below
+        if top <= 8:
+            empty = np.zeros(0, dtype=np.int32)
+            return empty, np.zeros(0), empty, np.zeros(0, dtype=np.intp)
+        walk = _Walk(self, data, buf)
+        runs = [run for run in walk.walk() if run[2] >= WINDOW + 8]
+        mine = self.starts
+        # each run's first and last window here, searched in one call
+        # each with needles of ``starts``' dtype, so none converts it
+        ends = np.array([(r + 8, r + n - WINDOW) for _, r, n in runs],
+                        dtype=mine.dtype).reshape(-1, 2)
+        firsts = mine.searchsorted(ends[:, 0]).tolist()
+        lasts = mine.searchsorted(ends[:, 1], side="right").tolist()
+        rows = (self.sha1_rows() if any(lo < hi for lo, hi in
+                                        zip(firsts, lasts))
+                else np.zeros(0, dtype=np.int32))
+        starts, ent, lent = [], [], []
+        todo = [np.zeros(0, dtype=np.intp)]
+        size = 0
+
+        def gap(lo: int, hi: int) -> None:
+            nonlocal size
+            found = walk.anchors(lo, hi).astype(np.int32)
+            starts.append(found)
+            ent.append(np.empty(found.size))
+            lent.append(np.full(found.size, -1, dtype=np.int32))
+            todo.append(np.arange(size, size + found.size))
+            size += found.size
+
+        at = 8
+        for (o, r, n), lo, hi in zip(runs, firsts, lasts):
+            if at < o + 8:
+                gap(at, o + 8)
+            starts.append(np.add(mine[lo:hi], o - r, dtype=np.int32,
+                                 casting="unsafe"))
+            ent.append(self.entropies[lo:hi])
+            lent.append(rows[lo:hi])
+            size += hi - lo
+            at = o + n - WINDOW + 1
+        if at < top:
+            gap(at, top)
+        return tuple(np.concatenate(parts) for parts in
+                     (starts, ent, lent, todo))
 
 
 # -- stage 3: popularity ------------------------------------------------------
@@ -527,6 +780,27 @@ def _popular(line: np.ndarray) -> np.ndarray:
             & (cand >= q[span + 1:]))
 
 
+def _lent(blobs: List[bytes], offsets: np.ndarray,
+          reference: WindowReference) -> Tuple[np.ndarray, ...]:
+    """:meth:`WindowReference.shared` over each blob of a batch on its
+    own, so every window lies inside one blob: the starts (in the
+    concatenation), each one's blob, entropy and ``sha1s`` row, and the
+    windows left to compute."""
+    parts = [reference.shared(blob) for blob in blobs]
+    if len(parts) == 1:
+        starts, ent, lent, todo = parts[0]
+        return starts, np.zeros(starts.size, dtype=np.intp), ent, lent, todo
+    counts = [part[0].size for part in parts]
+    firsts = np.cumsum([0] + counts[:-1]).tolist()
+    return (np.concatenate([part[0] + np.int32(at) for part, at in
+                            zip(parts, offsets.tolist())]),
+            np.repeat(np.arange(len(parts)), counts),
+            np.concatenate([part[1] for part in parts]),
+            np.concatenate([part[2] for part in parts]),
+            np.concatenate([part[3] + first for part, first in
+                            zip(parts, firsts)]))
+
+
 def _select(blobs: List[bytes],
             reference: Optional[WindowReference] = None
             ) -> Tuple[bytes, np.ndarray, np.ndarray, Optional[np.ndarray]]:
@@ -539,45 +813,43 @@ def _select(blobs: List[bytes],
     8-byte context and its window both lie inside one blob, and every
     blob's candidates sit on one line between -inf gaps of
     ``POPULARITY_SPAN``, so each blob gets the selection it gets alone.
-    With a ``reference``, windows in chunks it shares take its entropies
-    and only the rest are computed.
+    With a ``reference``, the windows of the runs it shares take their
+    starts and entropies from it (:meth:`WindowReference.shared`), and
+    only the rest are anchored and computed.
     """
     cat = b"".join(blobs)
     buf = np.frombuffer(cat, dtype=np.uint8)
-    starts = _anchor_positions(buf)
     offsets = np.zeros(len(blobs) + 1, dtype=np.int64)
     np.cumsum([len(blob) for blob in blobs], out=offsets[1:])
-    file_of = np.searchsorted(offsets, starts, side="right") - 1
-    inside = ((starts - 8 >= offsets[file_of])
-              & (starts + WINDOW <= offsets[file_of + 1]))
-    # a pass holds ``starts`` throughout, so they are int32 (and so are a
-    # reference's matches), and every array is dropped once used: that
-    # bounds the scratch of a large digest.  ``file_of`` and ``slot`` stay
-    # intp: NumPy converts an index array of any other type on each
-    # gather and scatter, a fixed cost a small digest would feel
-    starts, file_of = starts[inside].astype(np.int32), file_of[inside]
-    del inside
-    if starts.size == 0:
-        return cat, starts, file_of, None
     lent = None
-    if reference is not None:
-        own, theirs = reference.shared(cat, buf, starts)
-        reference.reused += own.size
-        reference.computed += starts.size - own.size
-        if own.size:
-            lent = np.full(starts.size, -1, dtype=np.int32)
-            lent[own] = reference.sha1_rows()[theirs]
-            ent = np.empty(starts.size, dtype=np.float64)
-            ent[own] = reference.entropies[theirs]
-            del theirs
-            todo = np.ones(starts.size, dtype=bool)
-            todo[own] = False
-            del own
-            todo = np.flatnonzero(todo)
+    if reference is not None and reference.starts.size:
+        starts, file_of, ent, lent, todo = _lent(blobs, offsets, reference)
+        reference.reused += starts.size - todo.size
+        reference.computed += todo.size
+        if starts.size == 0:
+            return cat, starts, file_of, None
+        if todo.size == starts.size:
+            ent, lent = _span_entropies(buf, starts, offsets, file_of), None
+        else:
             ent[todo] = _span_entropies(buf, starts[todo], offsets,
                                         file_of[todo])
-            del todo
-    if lent is None:
+        del todo
+    else:
+        starts = _anchor_positions(buf)
+        file_of = np.searchsorted(offsets, starts, side="right") - 1
+        inside = ((starts - 8 >= offsets[file_of])
+                  & (starts + WINDOW <= offsets[file_of + 1]))
+        # a pass holds ``starts`` throughout, so they are int32, and every
+        # array is dropped once used: that bounds the scratch of a large
+        # digest.  ``file_of`` and ``slot`` stay intp: NumPy converts an
+        # index array of any other type on each gather and scatter, a
+        # fixed cost a small digest would feel
+        starts, file_of = starts[inside].astype(np.int32), file_of[inside]
+        del inside
+        if starts.size == 0:
+            return cat, starts, file_of, None
+        if reference is not None:
+            reference.computed += starts.size
         ent = _span_entropies(buf, starts, offsets, file_of)
     span = POPULARITY_SPAN
     # candidate i of blob f sits at line[span:-span][i + span * f]: a gap

@@ -108,6 +108,16 @@ class TestRounds:
 
 
 class TestInputs:
+    def test_120_pairs_a_leg_by_default_here_and_in_the_makefile(self):
+        """At 40 pairs a base-against-itself control read 0.881x at
+        4 MiB; at 120 the controls stayed within 0.97-1.04x."""
+        assert kernel_pairs.DEFAULT_PAIRS == 120
+        args = kernel_pairs.build_parser().parse_args(
+            ["--base", "HEAD", "--fn", "sdhash", "--input", "text:4K"])
+        assert args.pairs == 120
+        makefile = (ROOT / "Makefile").read_text().splitlines()
+        assert "PAIRS ?= 120" in makefile
+
     def test_sizes_and_kinds(self):
         assert kernel_pairs.parse_input("save:1M,2.5M,4096,64K") == (
             "save", [1 << 20, 5 << 19, 4096, 64 << 10])

@@ -9,9 +9,11 @@ The contract under test, layer by layer:
   and short repeated patterns, edited in place or unrelated.
 * The reuse is skipped work, so it is counted, not timed: a
   bulk_append-shaped save computes at most a quarter of its old
-  version's windows and SHA-1s at most a quarter of its features, an
-  unrelated reference saves nothing, and no comparison cuts more chunks
-  than its length allows.
+  version's windows, SHA-1s at most a quarter of its features, anchors
+  at most a quarter of its bytes and computes at most 2.5 windows per
+  window its edits touched; shuffled blocks keep the reuse chunk
+  matching found, an unrelated reference saves nothing, and no
+  comparison cuts more chunks than its length allows.
 * A stream keeps at most 1 byte per streamed byte of windows, and none
   once its close, a fallback or a checkpoint restore has dropped it.
 * Through :class:`CryptoDropMonitor`, a large in-place save materialises
@@ -190,6 +192,38 @@ def test_old_version_digest_with_the_stream_is_bit_for_bit(save):
         assert interior <= length // _MIN_CHUNK
 
 
+def _chunk_bounds_loop(size, cuts):
+    """The boundary rule one ``searchsorted`` per chunk: the reference
+    the vectorised ``_chunk_bounds`` must equal."""
+    bounds = [0]
+    while True:
+        i = int(cuts.searchsorted(bounds[-1] + _MIN_CHUNK))
+        if i == cuts.size:
+            break
+        bounds.append(int(cuts[i]))
+    bounds.append(size)
+    return bounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_chunk_bounds_are_the_loops(data):
+    """Sparse candidates (text), clusters closer than ``_MIN_CHUNK``
+    and dense runs (a zero run cuts at every offset), in both dtypes
+    the callers pass."""
+    size = data.draw(st.integers(1, 40_000))
+    cuts = set(data.draw(st.lists(st.integers(0, size - 1), max_size=60)))
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.integers(0, size - 1))
+        step = data.draw(st.integers(1, 700))
+        cuts.update(range(at, min(size, at + data.draw(
+            st.integers(1, 6000))), step))
+    for dtype in (np.int64, np.uint32):
+        ordered = np.array(sorted(cuts), dtype=dtype)
+        assert _chunk_bounds(size, ordered).tolist() == \
+            _chunk_bounds_loop(size, ordered)
+
+
 def test_reference_holds_every_anchored_window_of_its_version():
     rng = random.Random(4)
     data = _text(rng, POOL, 300_000)
@@ -262,6 +296,75 @@ class TestReuseWork:
         total = reference.reused + reference.computed
         assert reference.computed >= 0.99 * total
         assert hashed[0] >= 0.99 * got.n_features
+
+    @pytest.fixture
+    def scanned(self, monkeypatch):
+        """The bytes each ``_anchor_starts`` call scans."""
+        calls = []
+        real = sdhash_mod._anchor_starts
+
+        def counting(buf):
+            calls.append(buf.size)
+            return real(buf)
+
+        monkeypatch.setattr(sdhash_mod, "_anchor_starts", counting)
+        return calls
+
+    @staticmethod
+    def _touched(old, new):
+        """The anchored windows of ``old`` whose 8 context bytes or 64
+        bytes hold a byte ``new`` (as long) changed."""
+        buf = np.frombuffer(old, np.uint8)
+        starts = _anchor_positions(buf)
+        changed = np.zeros(buf.size + 1, dtype=np.int64)
+        np.cumsum(buf != np.frombuffer(new, np.uint8), out=changed[1:])
+        return int(np.count_nonzero(changed[starts + 64]
+                                    - changed[starts - 8]))
+
+    @pytest.mark.parametrize("seed", [7, 11, 23])
+    def test_a_save_anchors_at_most_a_quarter_of_its_old_bytes(self, seed,
+                                                               scanned):
+        """The walk reads the windows of the runs the two versions share
+        from the reference; only the gaps are scanned (5-9% here; every
+        byte before the walk)."""
+        rng, pool, old = self._pair(seed)
+        new = _edit(rng, pool, old)
+        reference = _stream(new).window_reference(new)
+        scanned.clear()  # the stream's own
+        got = digest_many([old], reference=reference)[0]
+        assert 0 < sum(scanned) <= 0.25 * len(old)
+        _same(got, sdhash(old))
+
+    @pytest.mark.parametrize("seed", [7, 11, 23])
+    def test_a_save_computes_little_beyond_the_windows_it_touched(self,
+                                                                  seed):
+        """Runs widened over the bytes a missed chunk still shares leave
+        1.1-1.4 computed windows per touched one here; chunk matching
+        alone computed 3.15-3.40."""
+        rng, pool, old = self._pair(seed)
+        new = _edit(rng, pool, old)
+        reference = _stream(new).window_reference(new)
+        _same(digest_many([old], reference=reference)[0], sdhash(old))
+        touched = self._touched(old, new)
+        assert 0 < touched <= reference.computed <= 2.5 * touched
+
+    #: windows the chunk matching that preceded the walk reused on
+    #: ``test_moved_blocks_keep_their_reuse``'s input (of 125,134): the
+    #: walk must find at least as many (it finds 73,218)
+    MOVED_FLOOR = 34_430
+
+    def test_moved_blocks_keep_their_reuse(self):
+        """A 2 MiB save whose 8 KiB blocks are shuffled: the in-order
+        walk loses its way at every block, so key matching finds the
+        moved blocks and the walk resumes there."""
+        rng, pool, _ = self._pair(7)
+        old = _text(rng, pool, 2 << 20)
+        blocks = [old[at:at + 8192] for at in range(0, len(old), 8192)]
+        rng.shuffle(blocks)
+        new = b"".join(blocks)
+        reference = _stream(new).window_reference(new)
+        _same(digest_many([old], reference=reference)[0], sdhash(old))
+        assert reference.reused >= self.MOVED_FLOOR
 
     def test_a_zero_run_stream_stops_retaining(self):
         zeros = bytes(4 << 20)
@@ -437,6 +540,45 @@ class TestEngineReuse:
             line = ('cryptodrop_stream_baseline_windows{source="%s"} %d'
                     % (source, streaming[f"baseline_windows_{source}"]))
             assert line in text.splitlines()
+
+
+def test_chunks_found_side_by_side_stay_apart():
+    """An old version made of two of the reference's chunks that are not
+    neighbours there: key matching finds both, back to back, and each
+    must stay its own run, at its own offset in the reference."""
+    new = _text(random.Random(31), POOL, 96_000)
+    reference = _stream(new).window_reference(new)
+    mine = np.frombuffer(new, np.uint8)
+    bounds = _chunk_bounds(mine.size,
+                           _cut_candidates(mine, reference.starts)).tolist()
+    assert len(bounds) > 8
+    old = b"".join(new[bounds[j]:bounds[j + 1]] for j in (2, 5, 3))
+    runs = sdhash_mod._Walk(reference, old,
+                            np.frombuffer(old, np.uint8)).walk()
+    assert len(runs) >= 2
+    for o, r, n in runs:
+        assert old[o:o + n] == new[r:r + n]
+    _same(digest_many([old], reference=reference)[0], sdhash(old))
+
+
+def test_a_batch_lent_one_reference_digests_each_blob_alone():
+    """Each blob of a batch is walked against the reference on its own:
+    a save's old version, the new version itself, unrelated text,
+    ciphertext and a blob too small to digest."""
+    rng, pool = random.Random(21), _pool(21)
+    old = _text(rng, pool, 300_000)
+    new = _edit(rng, pool, old)
+    blobs = [old, rng.randbytes(20_000), new, b"tiny",
+             _text(rng, pool, 50_000)]
+    reference = _stream(new).window_reference(new)
+    got = digest_many(blobs, reference=reference)
+    for blob, digest in zip(blobs, got):
+        _same(digest, sdhash(blob))
+    assert reference.reused + reference.computed == sum(
+        _anchor_positions(np.frombuffer(blob, np.uint8)).size
+        for blob in blobs if len(blob) >= 512)
+    # the new version lends itself every window
+    assert reference.reused >= reference.starts.size
 
 
 def test_a_reference_is_what_a_stream_lends():

@@ -29,7 +29,7 @@ from repro.ingest import EndpointSessionManager, record_endpoint_stream
 from repro.ransomware import instantiate
 from repro.ransomware.factory import working_cohort
 from repro.simhash.sdhash import compare, digest_many, sdhash
-from tests.reference import compare_scalar, sdhash_scalar
+from tests.reference import build_store_serial, compare_scalar, sdhash_scalar
 
 
 def _best_seconds(fn, repeats: int) -> float:
@@ -104,9 +104,8 @@ def test_store_build_batched_ge_3x_at_1024_docs():
     contents = {f"docs/note{i}.txt": doc
                 for i, doc in enumerate(_small_docs(1024, seed_base=500))}
     corpus = SimpleNamespace(contents=contents, seed=977)
-    speedup = _speedup(lambda: BaselineStore.build(corpus, batched=True),
-                       lambda: BaselineStore.build(corpus, batched=False),
-                       9, 4)
+    speedup = _speedup(lambda: BaselineStore.build(corpus),
+                       lambda: build_store_serial(corpus), 9, 4)
     assert speedup >= 3.0, f"only {speedup:.2f}x"
 
 

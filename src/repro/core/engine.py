@@ -24,6 +24,7 @@ is suspended and the (policy-modelled) user is asked.
 from __future__ import annotations
 
 import time
+from dataclasses import asdict
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -520,9 +521,7 @@ class AnalysisEngine(FilterDriver):
             else:
                 self.cache.materialise_baseline(record)
         want_digest = (stream is not None
-                       or (comparing
-                           and (record.base_digest is not None
-                                or record.base_ctph is not None)))
+                       or (comparing and record.base_digest is not None))
         inspection = self.cache.inspect(content, want_digest=want_digest,
                                         key=key, stream=stream)
         if stream is not None and stream.consumed:
@@ -671,7 +670,8 @@ class AnalysisEngine(FilterDriver):
     # checkpoint / restore (crash-resilient service model)
     # ------------------------------------------------------------------
 
-    CHECKPOINT_VERSION = 1
+    #: 2: a baseline's digest or CTPH signature in one ``base_digest``
+    CHECKPOINT_VERSION = 2
 
     def checkpoint(self) -> dict:
         """Serialise every piece of scoring state to a JSON-safe dict.
@@ -692,14 +692,8 @@ class AnalysisEngine(FilterDriver):
                 for pid, state in sorted(self._proc.items())},
             "cache": self.cache.checkpoint(),
             "whitelist": sorted(self._whitelist),
-            "detections": [
-                {"root_pid": d.root_pid, "process_name": d.process_name,
-                 "score": d.score, "threshold": d.threshold,
-                 "union_fired": d.union_fired, "flags": sorted(d.flags),
-                 "timestamp_us": d.timestamp_us, "trigger_op": d.trigger_op,
-                 "trigger_path": d.trigger_path, "suspended": d.suspended,
-                 "files_lost": d.files_lost, "history_len": d.history_len}
-                for d in self.detections],
+            "detections": [{**asdict(d), "flags": sorted(d.flags)}
+                           for d in self.detections],
             "op_counts": dict(self.op_counts),
             "bytes_inspected": self.bytes_inspected,
             "bytes_closed": self.bytes_closed,
@@ -737,17 +731,8 @@ class AnalysisEngine(FilterDriver):
             self._proc[int(pid_text)] = proc
         self.cache.restore(state["cache"])
         self._whitelist = set(state["whitelist"])
-        self.detections = [
-            Detection(root_pid=d["root_pid"],
-                      process_name=d["process_name"], score=d["score"],
-                      threshold=d["threshold"],
-                      union_fired=d["union_fired"], flags=set(d["flags"]),
-                      timestamp_us=d["timestamp_us"],
-                      trigger_op=d["trigger_op"],
-                      trigger_path=d["trigger_path"],
-                      suspended=d["suspended"], files_lost=d["files_lost"],
-                      history_len=d["history_len"])
-            for d in state["detections"]]
+        self.detections = [Detection(**{**d, "flags": set(d["flags"])})
+                           for d in state["detections"]]
         self.op_counts = dict(state["op_counts"])
         self.bytes_inspected = int(state["bytes_inspected"])
         # Absent in pre-existing checkpoints: default to zero rather than

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 from ..fs.paths import WinPath
 from ..magic import FileType, identify
@@ -45,6 +45,11 @@ from .schedule import InspectionScheduler
 __all__ = ["TrackedFile", "FileStateCache", "InspectionResult",
            "DigestCache"]
 
+#: what the cache's backend makes of one version: an sdhash digest or a
+#: CTPH signature; only the code that makes or compares one tells them
+#: apart
+Digest = Union[SdDigest, CtphSignature]
+
 
 @dataclass
 class TrackedFile:
@@ -53,8 +58,7 @@ class TrackedFile:
     node_id: int
     path: WinPath
     base_type: Optional[FileType] = None
-    base_digest: Optional[SdDigest] = None
-    base_ctph: Optional[CtphSignature] = None
+    base_digest: Optional[Digest] = None
     base_size: int = 0
     #: True once a baseline has actually been captured from content
     has_baseline: bool = False
@@ -84,8 +88,7 @@ class InspectionResult:
     """
 
     file_type: FileType
-    digest: Optional[SdDigest]
-    ctph: Optional[CtphSignature]
+    digest: Optional[Digest]
     size: int
     digested: bool
     deferred: bool = False
@@ -265,21 +268,19 @@ class FileStateCache:
             dc.deferred += 1
             if self.telemetry is not None:
                 self._resolved("deferred", len(content))
-            return InspectionResult(file_type, None, None, len(content),
+            return InspectionResult(file_type, None, len(content),
                                     digested=False, deferred=True, key=key)
-        digest: Optional[SdDigest] = None
-        sig: Optional[CtphSignature] = None
+        digest: Optional[Digest] = None
         if can_digest:
             dc.bytes_digested += len(content)
-            if self.backend == "sdhash":
-                if stream is not None:
-                    digest = stream.finalize()
-                    dc.bytes_streamed += len(content)
-                else:
-                    digest = _sdhash(content)
+            if self.backend == "ctph":
+                digest = ctph(content)
+            elif stream is not None:
+                digest = stream.finalize()
+                dc.bytes_streamed += len(content)
             else:
-                sig = ctph(content)
-        result = InspectionResult(file_type, digest, sig, len(content),
+                digest = _sdhash(content)
+        result = InspectionResult(file_type, digest, len(content),
                                   can_digest, key=key)
         self.remember_live(result)
         return result
@@ -363,10 +364,8 @@ class FileStateCache:
             inspection = self.inspect(content, want_digest=False)
         record.base_type = inspection.file_type
         record.base_size = inspection.size
-        # one of the two is set for this cache's backend; a deferred
-        # inspection has neither until the scheduler's flush
+        # a deferred inspection has no digest until the scheduler's flush
         record.base_digest = inspection.digest
-        record.base_ctph = inspection.ctph
         if inspection.deferred:
             record.pending_content = content
             record.pending_key = inspection.key
@@ -438,7 +437,6 @@ class FileStateCache:
                 node_id=node_id, path=dest,
                 base_type=clobbered.base_type,
                 base_digest=clobbered.base_digest,
-                base_ctph=clobbered.base_ctph,
                 base_size=clobbered.base_size,
                 has_baseline=True, born_empty=False,
                 pending_content=clobbered.pending_content,
@@ -496,8 +494,6 @@ class FileStateCache:
                 },
                 "base_digest": (None if record.base_digest is None
                                 else record.base_digest.to_state()),
-                "base_ctph": (None if record.base_ctph is None
-                              else str(record.base_ctph)),
                 "base_size": record.base_size,
                 "has_baseline": record.has_baseline,
                 "born_empty": record.born_empty,
@@ -508,7 +504,8 @@ class FileStateCache:
                                    else self.baseline_store.describe())}
 
     def restore(self, state: dict) -> None:
-        """Replace the cache contents with a :meth:`checkpoint` snapshot."""
+        """Replace the cache contents with a :meth:`checkpoint` snapshot
+        taken under this cache's similarity backend."""
         descriptor = state.get("baseline_store")
         if descriptor is not None and self.baseline_store is not None \
                 and descriptor.get("fingerprint") != \
@@ -518,6 +515,11 @@ class FileStateCache:
                 f"{descriptor.get('fingerprint')!r} (corpus seed "
                 f"{descriptor.get('seed')!r}) but this cache has store "
                 f"{self.baseline_store.fingerprint!r} attached")
+        if state.get("backend") != self.backend:
+            raise ValueError(
+                f"checkpoint holds {state.get('backend')!r} digests but "
+                f"this cache compares with {self.backend!r}")
+        digest_cls = SdDigest if self.backend == "sdhash" else CtphSignature
         self._by_node.clear()
         self.scheduler.clear()
         self.digest_cache.clear_entries()
@@ -531,9 +533,7 @@ class FileStateCache:
                     type_state["name"], type_state["description"],
                     type_state["category"], type_state["is_high_entropy"]),
                 base_digest=(None if entry["base_digest"] is None
-                             else SdDigest.from_state(entry["base_digest"])),
-                base_ctph=(None if entry["base_ctph"] is None
-                           else CtphSignature.parse(entry["base_ctph"])),
+                             else digest_cls.from_state(entry["base_digest"])),
                 base_size=int(entry["base_size"]),
                 has_baseline=bool(entry["has_baseline"]),
                 born_empty=bool(entry["born_empty"]),

@@ -45,22 +45,16 @@ def similarity_score(record: TrackedFile, new_content: bytes,
             "baseline digest is still deferred: materialise it with "
             "FileStateCache.materialise_baseline before comparing")
     if backend == "sdhash":
-        if record.base_digest is None:
-            return None
-        if inspection is not None and inspection.digested:
-            new_digest = inspection.digest
-        else:
-            new_digest = sdhash(new_content)
-        return compare(record.base_digest, new_digest)
-    if backend == "ctph":
-        if record.base_ctph is None:
-            return None
-        if inspection is not None and inspection.digested:
-            new_sig = inspection.ctph
-        else:
-            new_sig = ctph(new_content)
-        return compare_signatures(record.base_ctph, new_sig)
-    raise ValueError(f"unknown similarity backend {backend!r}")
+        make, score = sdhash, compare
+    elif backend == "ctph":
+        make, score = ctph, compare_signatures
+    else:
+        raise ValueError(f"unknown similarity backend {backend!r}")
+    if record.base_digest is None:
+        return None
+    if inspection is not None and inspection.digested:
+        return score(record.base_digest, inspection.digest)
+    return score(record.base_digest, make(new_content))
 
 
 def similarity_collapsed(score: Optional[int], trigger_max: int = 5) -> bool:

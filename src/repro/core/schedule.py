@@ -178,7 +178,6 @@ class InspectionScheduler:
             record.pending_key = None
             if found is not None:
                 record.base_digest = found.digest
-                record.base_ctph = found.ctph
                 continue
             live_records.append(record)
             live_contents.append(content)
@@ -187,18 +186,16 @@ class InspectionScheduler:
         bytes_live = sum(len(content) for content in live_contents)
         if live:
             from .filestate import InspectionResult
-            sdhash_backend = cache.backend == "sdhash"
             digests = (digest_many(live_contents, reference=reference)
-                       if sdhash_backend else [None] * live)
+                       if cache.backend == "sdhash"
+                       else [ctph(content) for content in live_contents])
             cache.digest_cache.bytes_digested += bytes_live
             for record, content, key, digest in zip(
                     live_records, live_contents, live_keys, digests):
-                sig = None if sdhash_backend else ctph(content)
                 cache.remember_live(InspectionResult(
-                    record.base_type, digest, sig, len(content),
+                    record.base_type, digest, len(content),
                     digested=True, key=key))
                 record.base_digest = digest
-                record.base_ctph = sig
         drained = len(pending)
         self.flushes += 1
         self.materialised += drained

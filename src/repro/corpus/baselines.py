@@ -18,8 +18,8 @@ digesting.
 Entries are immutable and shared — :class:`BaselineEntry` deliberately
 exposes the same attribute surface as
 :class:`~repro.core.filestate.InspectionResult` (``file_type``,
-``digest``, ``ctph``, ``size``, ``digested``) so a store hit can be
-consumed anywhere an inspection result is expected, with zero copying.
+``digest``, ``size``, ``digested``) so a store hit can be consumed
+anywhere an inspection result is expected, with zero copying.
 
 Checkpoints never embed store entries: :meth:`BaselineStore.describe`
 yields a small descriptor (corpus seed, parameters, content fingerprint)
@@ -31,12 +31,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
-from ..entropy import (corrected_entropies_from_histograms, corrected_entropy,
-                       histograms_many)
+from ..entropy import corrected_entropies_from_histograms, histograms_many
 from ..magic import FileType, identify
-from ..simhash import sdhash as _sdhash
 from ..simhash.sdhash import SdDigest, digest_many
 from ..simhash.ssdeep import CtphSignature, ctph
 from ..store.backend import DictBackend
@@ -71,12 +69,13 @@ class BaselineEntry:
 
     Duck-types :class:`~repro.core.filestate.InspectionResult` (plus the
     corrected Shannon entropy of the pristine bytes), so engines can use
-    a store hit directly as the inspection of that content.
+    a store hit directly as the inspection of that content.  ``digest``
+    is what the store's backend made: an sdhash digest or a CTPH
+    signature.
     """
 
     file_type: FileType
-    digest: Optional[SdDigest]
-    ctph: Optional[CtphSignature]
+    digest: Optional[Union[SdDigest, CtphSignature]]
     size: int
     entropy: float
     digested: bool
@@ -135,19 +134,28 @@ class BaselineStore:
     @classmethod
     def build(cls, corpus, backend: str = "sdhash",
               max_inspect_bytes: int = 4 * 1024 * 1024,
-              digests_enabled: bool = True,
-              batched: bool = True) -> "BaselineStore":
+              digests_enabled: bool = True) -> "BaselineStore":
         """Digest every distinct content blob of ``corpus`` once.
 
-        With ``batched`` (sdhash backend only) the whole corpus goes
-        through the batched :func:`~repro.simhash.sdhash.digest_many`
-        kernel and shared byte-histogram scatters — every entry
-        bit-identical to the serial per-file loop, which remains the
-        reference path (``batched=False``).
+        Every entry is bit-identical to a per-file identify, digest and
+        entropy of its blob (``tests/reference.py`` keeps that loop as
+        ``build_store_serial``).
         """
         if backend not in ("sdhash", "ctph"):
             raise ValueError(f"unknown similarity backend {backend!r}")
         started = time.perf_counter()
+        keys, blobs, state = cls._distinct(corpus)
+        entries, total = cls._build_entries(
+            keys, blobs, backend, max_inspect_bytes, digests_enabled)
+        return cls(corpus.seed, backend, max_inspect_bytes, digests_enabled,
+                   entries, total_bytes=total,
+                   build_seconds=time.perf_counter() - started,
+                   state=state)
+
+    @staticmethod
+    def _distinct(corpus) -> tuple:
+        """``corpus``'s distinct blobs, first copy first: their keys, the
+        blobs and the keys' :func:`fingerprint_state`."""
         keys = []
         blobs = []
         seen = set()
@@ -160,63 +168,28 @@ class BaselineStore:
             keys.append(key)
             blobs.append(content)
             state = (state + int.from_bytes(key, "little")) & _STATE_MASK
-        if batched and backend == "sdhash":
-            entries, total = cls._build_entries_batched(
-                keys, blobs, max_inspect_bytes, digests_enabled)
-        else:
-            entries, total = cls._build_entries_serial(
-                keys, blobs, backend, max_inspect_bytes, digests_enabled)
-        return cls(corpus.seed, backend, max_inspect_bytes, digests_enabled,
-                   entries, total_bytes=total,
-                   build_seconds=time.perf_counter() - started,
-                   state=state)
+        return keys, blobs, state
 
     @staticmethod
-    def _build_entries_serial(keys, blobs, backend: str,
-                              max_inspect_bytes: int, digests_enabled: bool
-                              ) -> tuple:
-        """Per-file reference build loop (also the ctph path)."""
-        entries: Dict[bytes, BaselineEntry] = {}
-        total = 0
-        for key, content in zip(keys, blobs):
-            file_type = identify(content)
-            digest: Optional[SdDigest] = None
-            sig: Optional[CtphSignature] = None
-            digested = False
-            if digests_enabled and len(content) <= max_inspect_bytes:
-                digested = True
-                total += len(content)
-                if backend == "sdhash":
-                    digest = _sdhash(content)
-                else:
-                    sig = ctph(content)
-            entries[key] = BaselineEntry(
-                file_type, digest, sig, len(content),
-                corrected_entropy(content), digested)
-        return entries, total
-
-    @staticmethod
-    def _build_entries_batched(keys, blobs, max_inspect_bytes: int,
-                               digests_enabled: bool) -> tuple:
-        """Batched sdhash build: one digest_many pass over the digestable
-        blobs, shared histogram scatters for the entropies."""
-        entries: Dict[bytes, BaselineEntry] = {}
-        total = 0
+    def _build_entries(keys, blobs, backend: str, max_inspect_bytes: int,
+                       digests_enabled: bool) -> tuple:
+        """The entries of distinct ``blobs`` under ``keys`` and the bytes
+        digested: sdhash blobs in one digest_many pass, CTPH blobs one at
+        a time, every entropy from shared histogram scatters."""
         flags = [digests_enabled and len(c) <= max_inspect_bytes
                  for c in blobs]
-        digests = iter(digest_many(
-            [c for c, flag in zip(blobs, flags) if flag]))
+        todo = [c for c, flag in zip(blobs, flags) if flag]
+        digests = iter(digest_many(todo) if backend == "sdhash"
+                       else [ctph(c) for c in todo])
         entropies = corrected_entropies_from_histograms(
             histograms_many(blobs), [len(c) for c in blobs])
-        for i, (key, content) in enumerate(zip(keys, blobs)):
-            digested = flags[i]
-            digest = next(digests) if digested else None
-            if digested:
-                total += len(content)
+        entries: Dict[bytes, BaselineEntry] = {}
+        for key, content, digested, entropy in zip(keys, blobs, flags,
+                                                   entropies.tolist()):
             entries[key] = BaselineEntry(
-                identify(content), digest, None, len(content),
-                float(entropies[i]), digested)
-        return entries, total
+                identify(content), next(digests) if digested else None,
+                len(content), entropy, digested)
+        return entries, sum(len(c) for c in todo)
 
     # -- persistence ---------------------------------------------------------
 

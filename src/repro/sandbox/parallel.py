@@ -46,7 +46,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import CryptoDropConfig
-from ..corpus.baselines import BaselineStore, content_key
+from ..corpus.baselines import BaselineStore
 from ..corpus.builder import GeneratedCorpus, generate
 from ..ransomware import instantiate
 from ..telemetry import TelemetrySession
@@ -99,10 +99,10 @@ _SHARD_BLOBS: Optional[List[bytes]] = None
 
 
 def _build_shard(args) -> Tuple[Dict[bytes, object], int]:
-    """One worker's slice of a sharded store build (batched kernel)."""
-    lo, hi, max_inspect_bytes, digests_enabled = args
-    return BaselineStore._build_entries_batched(
-        _SHARD_KEYS[lo:hi], _SHARD_BLOBS[lo:hi],
+    """One worker's slice of a sharded store build."""
+    lo, hi, backend, max_inspect_bytes, digests_enabled = args
+    return BaselineStore._build_entries(
+        _SHARD_KEYS[lo:hi], _SHARD_BLOBS[lo:hi], backend,
         max_inspect_bytes, digests_enabled)
 
 
@@ -120,8 +120,9 @@ def _build_shard_file(args) -> str:
      digests_enabled) = args
     started = time.perf_counter()
     keys = _SHARD_KEYS[lo:hi]
-    entries, total = BaselineStore._build_entries_batched(
-        keys, _SHARD_BLOBS[lo:hi], max_inspect_bytes, digests_enabled)
+    entries, total = BaselineStore._build_entries(
+        keys, _SHARD_BLOBS[lo:hi], backend, max_inspect_bytes,
+        digests_enabled)
     writer = StoreWriter(shard_path, seed=seed, backend=backend,
                          max_inspect_bytes=max_inspect_bytes,
                          digests_enabled=digests_enabled)
@@ -145,7 +146,7 @@ def build_store_parallel(corpus, backend: str = "sdhash",
     """:meth:`BaselineStore.build` sharded across worker processes.
 
     The distinct content blobs are split into one contiguous shard per
-    worker; each forked worker runs the batched digest kernel over its
+    worker; each forked worker runs the store's build loop over its
     shard and pickles the finished entries back.  Entries are pure
     functions of content, so the merged store is bit-identical to a
     single-process build (same fingerprint, same digests).
@@ -159,16 +160,17 @@ def build_store_parallel(corpus, backend: str = "sdhash",
     LRU.  Same fingerprint, same lookups as the in-memory build.
 
     Worker count resolves like the parallel campaign's (explicit argument
-    > ``config.campaign_workers`` > one per CPU).  With one worker, a
-    non-sdhash backend, or no ``fork`` support, this degrades to the
-    ordinary in-process build (written out and reopened when ``path`` is
-    set) — on a single-CPU host the batching itself carries the speedup
-    and sharding would only add fork overhead.
+    > ``config.campaign_workers`` > one per CPU).  With one worker or no
+    ``fork`` support, this degrades to the ordinary in-process build
+    (written out and reopened when ``path`` is set) — on a single-CPU
+    host the batching itself carries the speedup and sharding would only
+    add fork overhead.
     """
     global _SHARD_KEYS, _SHARD_BLOBS
+    if backend not in ("sdhash", "ctph"):
+        raise ValueError(f"unknown similarity backend {backend!r}")
     workers = _resolve_workers(workers, config)
-    if (workers <= 1 or backend != "sdhash"
-            or "fork" not in multiprocessing.get_all_start_methods()):
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         store = BaselineStore.build(corpus, backend, max_inspect_bytes,
                                     digests_enabled)
         if path is None:
@@ -176,16 +178,7 @@ def build_store_parallel(corpus, backend: str = "sdhash",
         store.save(path)
         return BaselineStore.open(path, hot_entries=hot_entries)
     started = time.perf_counter()
-    keys: List[bytes] = []
-    blobs: List[bytes] = []
-    seen = set()
-    for content in corpus.contents.values():
-        key = content_key(content)
-        if key in seen:
-            continue
-        seen.add(key)
-        keys.append(key)
-        blobs.append(content)
+    keys, blobs, state = BaselineStore._distinct(corpus)
     if _SHARD_KEYS is not None:
         raise RuntimeError(
             "build_store_parallel is already active in this process (the "
@@ -214,7 +207,7 @@ def build_store_parallel(corpus, backend: str = "sdhash",
                     if os.path.exists(shard_path):
                         os.unlink(shard_path)
             return BaselineStore.open(path, hot_entries=hot_entries)
-        shards = [(lo, min(len(blobs), lo + bound),
+        shards = [(lo, min(len(blobs), lo + bound), backend,
                    max_inspect_bytes, digests_enabled)
                   for lo in range(0, len(blobs), bound)]
         with ctx.Pool(processes=min(workers, len(shards))) as pool:
@@ -229,7 +222,8 @@ def build_store_parallel(corpus, backend: str = "sdhash",
         total += part_total
     return BaselineStore(corpus.seed, backend, max_inspect_bytes,
                          digests_enabled, entries, total_bytes=total,
-                         build_seconds=time.perf_counter() - started)
+                         build_seconds=time.perf_counter() - started,
+                         state=state)
 
 
 def _init_worker() -> None:

@@ -62,7 +62,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .bloom import FILTER_BITS, MAX_FEATURES, BloomFilter, feature_positions
+from .bloom import FILTER_BITS, MAX_FEATURES, feature_positions
 
 __all__ = ["SdDigest", "sdhash", "compare", "digest_many",
            "StreamingDigestState", "WindowReference",
@@ -102,8 +102,7 @@ class SdDigest:
     :func:`compare` never packs anything.
     """
 
-    __slots__ = ("counts", "n_features", "source_len", "_packed", "_ints",
-                 "_filters")
+    __slots__ = ("counts", "n_features", "source_len", "_packed", "_ints")
 
     def __init__(self, packed: np.ndarray, counts: List[int],
                  n_features: int, source_len: int) -> None:
@@ -113,25 +112,9 @@ class SdDigest:
         self.n_features = n_features
         self.source_len = source_len
         self._ints: Optional[Tuple[List[int], List[int]]] = None
-        self._filters: Optional[List[BloomFilter]] = None
 
     def __len__(self) -> int:
         return self._packed.shape[0]
-
-    @property
-    def filters(self) -> List[BloomFilter]:
-        """The filters as :class:`BloomFilter` objects, unpacked on first
-        use; per-filter inspection reads them, the digest and compare
-        paths never do."""
-        if self._filters is None:
-            bits = np.unpackbits(self._packed, axis=1).astype(bool)
-            self._filters = []
-            for row, count in zip(bits, self.counts):
-                filt = BloomFilter()
-                filt.bits = row
-                filt.count = count
-                self._filters.append(filt)
-        return self._filters
 
     def packed_matrix(self) -> np.ndarray:
         """All filters as an ``(n_filters, 256)`` uint8 bit-matrix
@@ -780,27 +763,6 @@ def _popular(line: np.ndarray) -> np.ndarray:
             & (cand >= q[span + 1:]))
 
 
-def _lent(blobs: List[bytes], offsets: np.ndarray,
-          reference: WindowReference) -> Tuple[np.ndarray, ...]:
-    """:meth:`WindowReference.shared` over each blob of a batch on its
-    own, so every window lies inside one blob: the starts (in the
-    concatenation), each one's blob, entropy and ``sha1s`` row, and the
-    windows left to compute."""
-    parts = [reference.shared(blob) for blob in blobs]
-    if len(parts) == 1:
-        starts, ent, lent, todo = parts[0]
-        return starts, np.zeros(starts.size, dtype=np.intp), ent, lent, todo
-    counts = [part[0].size for part in parts]
-    firsts = np.cumsum([0] + counts[:-1]).tolist()
-    return (np.concatenate([part[0] + np.int32(at) for part, at in
-                            zip(parts, offsets.tolist())]),
-            np.repeat(np.arange(len(parts)), counts),
-            np.concatenate([part[1] for part in parts]),
-            np.concatenate([part[2] for part in parts]),
-            np.concatenate([part[3] + first for part, first in
-                            zip(parts, firsts)]))
-
-
 def _select(blobs: List[bytes],
             reference: Optional[WindowReference] = None
             ) -> Tuple[bytes, np.ndarray, np.ndarray, Optional[np.ndarray]]:
@@ -813,9 +775,10 @@ def _select(blobs: List[bytes],
     8-byte context and its window both lie inside one blob, and every
     blob's candidates sit on one line between -inf gaps of
     ``POPULARITY_SPAN``, so each blob gets the selection it gets alone.
-    With a ``reference``, the windows of the runs it shares take their
-    starts and entropies from it (:meth:`WindowReference.shared`), and
-    only the rest are anchored and computed.
+    A ``reference`` comes with one blob (:func:`digest_many`): the
+    windows of the runs it shares take their starts and entropies from
+    it (:meth:`WindowReference.shared`), and only the rest are anchored
+    and computed.
     """
     cat = b"".join(blobs)
     buf = np.frombuffer(cat, dtype=np.uint8)
@@ -823,7 +786,8 @@ def _select(blobs: List[bytes],
     np.cumsum([len(blob) for blob in blobs], out=offsets[1:])
     lent = None
     if reference is not None and reference.starts.size:
-        starts, file_of, ent, lent, todo = _lent(blobs, offsets, reference)
+        starts, ent, lent, todo = reference.shared(cat)
+        file_of = np.zeros(starts.size, dtype=np.intp)
         reference.reused += starts.size - todo.size
         reference.computed += todo.size
         if starts.size == 0:
@@ -861,12 +825,6 @@ def _select(blobs: List[bytes],
     keep = _popular(line)[slot]
     return (cat, starts[keep], file_of[keep],
             None if lent is None else lent[keep])
-
-
-def _select_features(data: bytes) -> List[bytes]:
-    """Pick characteristic 64-byte windows of ``data``."""
-    cat, starts, _, _ = _select([_as_bytes(data)])
-    return [cat[s:s + WINDOW] for s in starts.tolist()]
 
 
 # -- stage 4: feature emission ------------------------------------------------
@@ -964,7 +922,9 @@ def digest_many(contents, reference: Optional[WindowReference] = None
     few selected features), otherwise an :class:`SdDigest` bit-identical
     to ``sdhash(content)`` — same filters, feature count, and hexdigest.
     A ``reference`` (:class:`WindowReference`) lends the entropies of the
-    windows the inputs share with a related version, and counts them.
+    windows the input shares with a related version, and counts them; it
+    is lent to one blob, so a batch with two digestable blobs and a
+    ``reference`` raises ``ValueError``.
     """
     results: List[Optional[SdDigest]] = [None] * len(contents)
     pending_idx: List[int] = []
@@ -974,6 +934,8 @@ def digest_many(contents, reference: Optional[WindowReference] = None
         blob = _as_bytes(content)
         if len(blob) < MIN_DIGEST_BYTES:
             continue
+        if pending and reference is not None:
+            raise ValueError("a WindowReference is lent to one blob")
         if pending and pending_bytes + len(blob) > _BATCH_SPAN_BYTES:
             for j, dig in zip(pending_idx,
                               _digest_group(pending, reference)):
@@ -1272,11 +1234,11 @@ def _ordered(a: SdDigest, b: SdDigest) -> tuple:
 def compare(a: Optional[SdDigest], b: Optional[SdDigest]) -> Optional[int]:
     """sdhash confidence score 0–100; None when either digest is missing.
 
-    The arithmetic mirrors :meth:`BloomFilter.similarity` operation for
-    operation, so scores are bit-identical to the scalar per-pair loop in
-    ``tests/reference.py``.  A pair of digests with ``_WORDS_MIN_PAIRS``
-    filter pairs or more is scored with numpy popcounts
-    (:func:`_score_words`), a smaller one on Python ints.
+    The arithmetic mirrors the per-filter ``BloomFilter.similarity`` of
+    ``tests/reference.py`` operation for operation, so scores are
+    bit-identical to its scalar per-pair loop.  A pair of digests with
+    ``_WORDS_MIN_PAIRS`` filter pairs or more is scored with numpy
+    popcounts (:func:`_score_words`), a smaller one on Python ints.
     """
     if a is None or b is None:
         return None

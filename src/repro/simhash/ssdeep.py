@@ -71,6 +71,10 @@ class CtphSignature:
         blocksize, sig1, sig2 = text.split(":")
         return cls(int(blocksize), sig1, sig2)
 
+    # checkpoint serialization, named as on SdDigest: the text form
+    to_state = __str__
+    from_state = parse
+
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, CtphSignature)
                 and str(self) == str(other))

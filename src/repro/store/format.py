@@ -260,12 +260,12 @@ def pack_record(entry, type_index: int) -> bytes:
     payload = b""
     if entry.digested:
         flags |= FLAG_DIGESTED
-    if entry.digest is not None:
+    if isinstance(entry.digest, CtphSignature):
+        flags |= FLAG_HAS_CTPH
+        payload = str(entry.digest).encode("ascii")
+    elif entry.digest is not None:
         flags |= FLAG_HAS_DIGEST
         payload = encode_sddigest(entry.digest)
-    elif entry.ctph is not None:
-        flags |= FLAG_HAS_CTPH
-        payload = str(entry.ctph).encode("ascii")
     fixed = RECORD_FIXED.pack(flags, type_index, entry.size, entry.entropy,
                               len(payload), 0)
     crc = zlib.crc32(fixed + payload)
@@ -329,10 +329,9 @@ def unpack_record(buf, offset: int, types: List[FileType],
             f"record at offset {offset} references type {type_index} but "
             f"the type table has {len(types)} entries — corrupt store")
     digest = None
-    ctph = None
     if flags & FLAG_HAS_DIGEST:
         digest = decode_sddigest(payload)
     elif flags & FLAG_HAS_CTPH:
-        ctph = CtphSignature.parse(payload.decode("ascii"))
-    return _entry_cls()(types[type_index], digest, ctph, size, entropy,
+        digest = CtphSignature.parse(payload.decode("ascii"))
+    return _entry_cls()(types[type_index], digest, size, entropy,
                         bool(flags & FLAG_DIGESTED))

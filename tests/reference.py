@@ -17,7 +17,8 @@ build its cache::
                         EagerFileStateCache)
 
 The benchmark smoke pass (``tests/test_bench_smoke.py``) uses
-:func:`eager_reference` for the same swap.
+:func:`eager_reference` for the same swap.  :func:`build_store_serial`
+is the corpus store built the same naive way, one blob at a time.
 :func:`verdict_checkpoint` and :func:`detection_output` are what an engine
 and the reference must agree on; bookkeeping counters (digest cache,
 streams, wall times, telemetry metrics) describe the path, not the
@@ -31,11 +32,14 @@ kernel; ``tests/test_crypto.py`` requires byte-identical output from both.
 read straight off its definition, sharing no stage with
 :mod:`repro.simhash.sdhash`: an int64 rolling-hash anchor scan, one
 256-bin histogram and one 1-D term sum per window, a per-candidate
-popularity loop, one ``BloomFilter.add`` per feature and one
-``BloomFilter.similarity`` per filter pair.  Only the constants come
+popularity loop, one :meth:`BloomFilter.add` per feature and one
+:meth:`BloomFilter.similarity` per filter pair.  Only the constants come
 from the kernel.  ``tests/test_simhash_vectorised.py``,
 ``tests/test_digest_batch.py`` and ``tests/test_streaming_digest.py``
 require bit-identical digests and scores from both.
+:func:`digest_filters` unpacks a digest into :class:`BloomFilter`
+objects, and ``_select_features`` reads the kernel's own selection as
+windows, for the tests that look at single filters and features.
 """
 
 from __future__ import annotations
@@ -43,22 +47,26 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
 import repro.core.engine as engine_mod
 from repro.core.filestate import DigestCache, InspectionResult, TrackedFile
+from repro.corpus.baselines import BaselineEntry, BaselineStore, content_key
 from repro.crypto.aes import _INV_SBOX, _SBOX, AES, _gmul
 from repro.crypto.padding import pad, unpad
+from repro.entropy import corrected_entropy
 from repro.magic import identify
-from repro.simhash import BloomFilter, SdDigest, ctph, sdhash
+from repro.simhash import SdDigest, ctph, sdhash
+from repro.simhash.bloom import BITS_PER_FEATURE, FILTER_BITS, MAX_FEATURES
 from repro.simhash.sdhash import (ANCHOR_MASK, MIN_DIGEST_BYTES,
                                   MIN_FEATURE_ENTROPY, MIN_FEATURES,
-                                  POPULARITY_SPAN, WINDOW)
+                                  POPULARITY_SPAN, WINDOW, _select)
 
-__all__ = ["EagerFileStateCache", "ScalarAES", "compare_scalar",
-           "detection_output", "eager_reference", "scalar_aes_cbc_decrypt",
+__all__ = ["BloomFilter", "EagerFileStateCache", "ScalarAES",
+           "build_store_serial", "compare_scalar", "detection_output",
+           "digest_filters", "eager_reference", "scalar_aes_cbc_decrypt",
            "scalar_aes_cbc_encrypt", "scalar_aes_ctr_xor", "sdhash_scalar",
            "verdict_checkpoint"]
 
@@ -116,14 +124,11 @@ class EagerFileStateCache:
         content = bytes(content)
         can_digest = (self.digests_enabled
                       and len(content) <= self.max_inspect_bytes)
-        digest = sig = None
+        digest = None
         if can_digest:
             self.digest_cache.bytes_digested += len(content)
-            if self.backend == "sdhash":
-                digest = sdhash(content)
-            else:
-                sig = ctph(content)
-        return InspectionResult(identify(content), digest, sig, len(content),
+            digest = (sdhash if self.backend == "sdhash" else ctph)(content)
+        return InspectionResult(identify(content), digest, len(content),
                                 can_digest)
 
     def materialise_baseline(self, record) -> None:
@@ -187,8 +192,6 @@ class EagerFileStateCache:
                 },
                 "base_digest": (None if record.base_digest is None
                                 else record.base_digest.to_state()),
-                "base_ctph": (None if record.base_ctph is None
-                              else str(record.base_ctph)),
                 "base_size": record.base_size,
                 "has_baseline": record.has_baseline,
                 "born_empty": record.born_empty,
@@ -211,7 +214,6 @@ class EagerFileStateCache:
         record.base_type = inspection.file_type
         record.base_size = inspection.size
         record.base_digest = inspection.digest
-        record.base_ctph = inspection.ctph
         record.has_baseline = True
 
 
@@ -250,6 +252,28 @@ def detection_output(monitor, pid) -> dict:
                        timeline.union.score_after,
                        timeline.union.threshold_after),
     }
+
+
+def build_store_serial(corpus, backend: str = "sdhash",
+                       max_inspect_bytes: int = 4 * 1024 * 1024,
+                       digests_enabled: bool = True) -> BaselineStore:
+    """:meth:`BaselineStore.build` one distinct blob at a time: its
+    type, its own ``sdhash`` (or ``ctph``) and ``corrected_entropy``."""
+    entries = {}
+    total = 0
+    for content in corpus.contents.values():
+        key = content_key(content)
+        if key in entries:
+            continue
+        digest = None
+        digested = digests_enabled and len(content) <= max_inspect_bytes
+        if digested:
+            total += len(content)
+            digest = (sdhash if backend == "sdhash" else ctph)(content)
+        entries[key] = BaselineEntry(identify(content), digest, len(content),
+                                     corrected_entropy(content), digested)
+    return BaselineStore(corpus.seed, backend, max_inspect_bytes,
+                         digests_enabled, entries, total_bytes=total)
 
 
 class ScalarAES:
@@ -431,6 +455,93 @@ def _select_features_scalar(data: bytes) -> List[bytes]:
     return features
 
 
+class BloomFilter:
+    """A fixed-geometry Bloom filter over 160-bit feature hashes, one
+    feature and one bit position at a time."""
+
+    __slots__ = ("bits", "count")
+
+    def __init__(self) -> None:
+        self.bits = np.zeros(FILTER_BITS, dtype=bool)
+        self.count = 0
+
+    @staticmethod
+    def positions(feature_hash: bytes) -> List[int]:
+        """Derive the 5 bit positions from a 20-byte hash (11 bits each)."""
+        value = int.from_bytes(feature_hash[:16], "big")
+        positions = []
+        for _ in range(BITS_PER_FEATURE):
+            positions.append(value & (FILTER_BITS - 1))
+            value >>= 11
+        return positions
+
+    def add(self, feature_hash: bytes) -> None:
+        for pos in self.positions(feature_hash):
+            self.bits[pos] = True
+        self.count += 1
+
+    @property
+    def full(self) -> bool:
+        return self.count >= MAX_FEATURES
+
+    def popcount(self) -> int:
+        return int(self.bits.sum())
+
+    def intersect_count(self, other: "BloomFilter") -> int:
+        return int((self.bits & other.bits).sum())
+
+    def contains(self, feature_hash: bytes) -> bool:
+        return all(self.bits[pos] for pos in self.positions(feature_hash))
+
+    def similarity(self, other: "BloomFilter") -> float:
+        """Similarity estimate in [0, 1] between two filters.
+
+        Uses sdhash's approach: compare the observed bit overlap against
+        the overlap expected from two independent filters of the observed
+        densities, normalised by the maximum possible overlap.
+        """
+        pa, pb = self.popcount(), other.popcount()
+        if pa == 0 or pb == 0:
+            return 0.0
+        overlap = self.intersect_count(other)
+        expected = pa * pb / FILTER_BITS
+        max_overlap = min(pa, pb)
+        if max_overlap <= expected:
+            return 0.0
+        score = (overlap - expected) / (max_overlap - expected)
+        return max(0.0, min(1.0, score))
+
+    @classmethod
+    def from_features(cls, hashes: Iterable[bytes]) -> "BloomFilter":
+        filt = cls()
+        for feature_hash in hashes:
+            filt.add(feature_hash)
+        return filt
+
+    def packed(self) -> np.ndarray:
+        """The bit array packed to 256 uint8 values (np.packbits order)."""
+        return np.packbits(self.bits)
+
+
+def digest_filters(digest: SdDigest) -> List[BloomFilter]:
+    """A digest's packed filters as :class:`BloomFilter` objects."""
+    bits = np.unpackbits(digest.packed_matrix(), axis=1).astype(bool)
+    filters = []
+    for row, count in zip(bits, digest.counts):
+        filt = BloomFilter()
+        filt.bits = row
+        filt.count = count
+        filters.append(filt)
+    return filters
+
+
+def _select_features(data: bytes) -> List[bytes]:
+    """The 64-byte windows the kernel's selection (``_select``) picks in
+    ``data``."""
+    cat, starts, _, _ = _select([bytes(data)])
+    return [cat[s:s + WINDOW] for s in starts.tolist()]
+
+
 def sdhash_scalar(data: bytes) -> Optional[SdDigest]:
     """Digest ``data`` one feature at a time: SHA-1 each selected window
     and ``BloomFilter.add`` it, chaining a new filter when one is full."""
@@ -459,9 +570,9 @@ def compare_scalar(a: Optional[SdDigest],
     lower hexdigest, so the score does not depend on argument order."""
     if a is None or b is None:
         return None
-    small, large = sorted((a, b), key=lambda d: (len(d.filters),
-                                                 d.n_features,
+    small, large = sorted((a, b), key=lambda d: (len(d), d.n_features,
                                                  d.hexdigest()))
-    scores = [max(filt.similarity(other) for other in large.filters)
-              for filt in small.filters]
+    theirs = digest_filters(large)
+    scores = [max(filt.similarity(other) for other in theirs)
+              for filt in digest_filters(small)]
     return int(round(100 * sum(scores) / len(scores)))

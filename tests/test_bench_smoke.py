@@ -36,7 +36,8 @@ from repro.sandbox import (VirtualMachine, run_campaign,
 from repro.sandbox.parallel import build_store_parallel
 from repro.simhash.sdhash import compare, digest_many, sdhash
 from repro.store import fsck_store
-from tests.reference import compare_scalar, eager_reference, sdhash_scalar
+from tests.reference import (build_store_serial, compare_scalar,
+                             eager_reference, sdhash_scalar)
 
 pytestmark = pytest.mark.benchmarks
 
@@ -568,8 +569,8 @@ class TestInvariantsAndSpeedups:
         contents = {f"docs/note{i}.txt": doc for i, doc in
                     enumerate(_small_docs(128, seed_base=500))}
         corpus = SimpleNamespace(contents=contents, seed=977)
-        serial = BaselineStore.build(corpus, batched=False)
-        batched = BaselineStore.build(corpus, batched=True)
+        serial = build_store_serial(corpus)
+        batched = BaselineStore.build(corpus)
         assert serial.fingerprint == batched.fingerprint
         assert serial.total_bytes == batched.total_bytes
         for key, a in serial._entries.items():
@@ -578,10 +579,8 @@ class TestInvariantsAndSpeedups:
             assert (a.digest.hexdigest() if a.digest else None) == \
                 (b.digest.hexdigest() if b.digest else None)
         assert len(batched) > 0
-        speedup = _speedup(lambda: BaselineStore.build(corpus, batched=True),
-                           lambda: BaselineStore.build(corpus,
-                                                       batched=False),
-                           3, 2)
+        speedup = _speedup(lambda: BaselineStore.build(corpus),
+                           lambda: build_store_serial(corpus), 3, 2)
         assert speedup > 1.0
 
     def test_batched_campaign_results_identical(self):

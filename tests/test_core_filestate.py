@@ -1,12 +1,15 @@
-"""Per-file baseline tracking: moves, links, lifecycle."""
+"""Per-file baseline tracking: moves, links, lifecycle, checkpoints."""
 
+import json
 import random
 
 import pytest
 
+from repro.core import CryptoDropConfig, CryptoDropMonitor
 from repro.core.filestate import FileStateCache
 from repro.corpus.wordlists import paragraphs
-from repro.fs import WinPath
+from repro.fs import DOCUMENTS, VirtualFileSystem, WinPath
+from repro.simhash import CtphSignature, SdDigest
 
 DOC = WinPath(r"C:\Users\victim\Documents\report.pdf")
 TEMP = WinPath(r"C:\Users\victim\AppData\Local\Temp\stage.tmp")
@@ -120,3 +123,50 @@ class TestDeletion:
     def test_delete_unknown_none(self, cache):
         assert cache.on_delete(123) is None
         assert cache.on_delete(None) is None
+
+
+class TestCheckpointBackend:
+    """A checkpoint holds the digests of the backend it was taken under,
+    and only a cache of that backend takes it back."""
+
+    @staticmethod
+    def _edited(backend):
+        """A monitor after an editor appended to five tracked files."""
+        vfs = VirtualFileSystem()
+        vfs._ensure_dirs(DOCUMENTS)
+        for i in range(5):
+            vfs.peek_write(DOCUMENTS / f"doc{i}.txt", _content(i))
+        config = CryptoDropConfig(similarity_backend=backend)
+        monitor = CryptoDropMonitor(vfs, config).attach()
+        pid = vfs.processes.spawn("editor.exe").pid
+        for i in range(5):
+            handle = vfs.open(pid, DOCUMENTS / f"doc{i}.txt", "rw")
+            vfs.write(pid, handle, vfs.read(pid, handle) + b" more text")
+            vfs.close(pid, handle)
+        return vfs, monitor
+
+    @pytest.mark.parametrize("taken, restored", [("sdhash", "ctph"),
+                                                 ("ctph", "sdhash")])
+    def test_restore_refuses_the_other_backend(self, taken, restored):
+        vfs, monitor = self._edited(taken)
+        state = monitor.checkpoint()
+        monitor.detach()
+        assert len(state["cache"]["entries"]) == 5
+        with pytest.raises(ValueError, match="ctph|sdhash"):
+            CryptoDropMonitor.from_checkpoint(
+                vfs, state, CryptoDropConfig(similarity_backend=restored))
+
+    @pytest.mark.parametrize("backend, digest_cls",
+                             [("sdhash", SdDigest), ("ctph", CtphSignature)])
+    def test_checkpoint_round_trips_through_json(self, backend, digest_cls):
+        vfs, monitor = self._edited(backend)
+        state = monitor.checkpoint()
+        monitor.detach()
+        wire = json.loads(json.dumps(state))
+        restored = CryptoDropMonitor.from_checkpoint(
+            vfs, wire, CryptoDropConfig(similarity_backend=backend))
+        # a fixed point: the restored monitor checkpoints what it read
+        assert restored.checkpoint() == wire == state
+        records = list(restored.engine.cache._by_node.values())
+        assert len(records) == 5
+        assert all(isinstance(r.base_digest, digest_cls) for r in records)

@@ -9,7 +9,9 @@ engine, and with :class:`~tests.reference.EagerFileStateCache` swapped in
 identical detections, score histories and checkpointed baselines.
 
 This module drives hypothesis op sequences (with an optional checkpoint
-→ restore cut in the production run) and a store-backed campaign.  After
+→ restore cut in the production run), a store-backed campaign and, on
+the ablation's CTPH backend, working samples with and without a CTPH
+store.  After
 every op the sequence driver also checks that the scheduler's
 ``pending_bytes`` equals the bytes tracked records hold in
 ``pending_content``.  The other legs against the same reference keep
@@ -26,13 +28,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core import CryptoDropConfig, CryptoDropMonitor
-from repro.corpus import generate
+from repro.corpus import BaselineStore, generate
 from repro.corpus.wordlists import paragraphs
 from repro.fs import DOCUMENTS, ProcessSuspended, VirtualFileSystem
 from repro.ransomware import instantiate
-from repro.sandbox import run_campaign
+from repro.sandbox import VirtualMachine, run_campaign
 
-from tests.reference import eager_reference, verdict_checkpoint
+from tests.reference import (detection_output, eager_reference,
+                             verdict_checkpoint)
 from tests.test_baseline_store import _fingerprint, _profiles
 from tests.test_properties import _apply, _ops
 
@@ -125,3 +128,38 @@ class TestCampaigns:
             reference = run_campaign([instantiate(p) for p in profiles],
                                      corpus)
         assert _fingerprint(production) == _fingerprint(reference)
+
+
+class TestCtphBackend:
+    """The ablation's CTPH backend takes the same digest path: deferred
+    captures, scheduler flushes, the LRU and a CTPH store."""
+
+    @staticmethod
+    def _run(corpus, profile, store=None):
+        machine = VirtualMachine(corpus, baseline_store=store)
+        machine.snapshot()
+        config = CryptoDropConfig(similarity_backend="ctph",
+                                  telemetry_enabled=True)
+        monitor = CryptoDropMonitor(machine.vfs, config,
+                                    baseline_store=store).attach()
+        pid = machine.run_program(instantiate(profile)).pid
+        state = verdict_checkpoint(monitor)
+        # the store's descriptor names the path, not a verdict
+        assert (state["cache"].pop("baseline_store") is None) == \
+            (store is None)
+        return detection_output(monitor, pid), state, monitor.stats()
+
+    @pytest.mark.parametrize("with_store", [False, True])
+    def test_working_samples_match_reference(self, corpus, with_store):
+        store = (BaselineStore.build(corpus, backend="ctph") if with_store
+                 else None)
+        for profile in _profiles(3):
+            output, state, stats = self._run(corpus, profile, store)
+            # CTPH signatures were compared, made live and, with a
+            # store, read from it
+            assert "similarity" in {entry[1] for entry in output["timeline"]}
+            assert stats["scheduler"]["live_digests"] > 0
+            assert (stats["digest_cache"]["store_hits"] > 0) == with_store
+            with eager_reference():
+                reference = self._run(corpus, profile)
+            assert (output, state) == reference[:2]

@@ -36,8 +36,9 @@ from repro.simhash import digest_many, sdhash
 from repro.simhash.sdhash import (MIN_DIGEST_BYTES, WINDOW,
                                   StreamingDigestState, _anchor_positions)
 
-from tests.reference import (detection_output, eager_reference,
-                             sdhash_scalar, verdict_checkpoint)
+from tests.reference import (build_store_serial, detection_output,
+                             eager_reference, sdhash_scalar,
+                             verdict_checkpoint)
 from tests.test_sdhash_golden import INPUTS as GOLDEN_INPUTS
 
 KEY, NONCE = bytes(32), bytes(12)
@@ -567,22 +568,20 @@ class TestStoreBuildBatched:
 
     def test_batched_build_identical_to_serial(self):
         corpus = self._corpus()
-        self._assert_stores_equal(BaselineStore.build(corpus, batched=False),
-                                  BaselineStore.build(corpus, batched=True))
+        self._assert_stores_equal(build_store_serial(corpus),
+                                  BaselineStore.build(corpus))
 
     def test_batched_respects_inspect_ceiling(self):
         corpus = self._corpus()
-        serial = BaselineStore.build(corpus, max_inspect_bytes=1024,
-                                     batched=False)
-        batched = BaselineStore.build(corpus, max_inspect_bytes=1024,
-                                      batched=True)
+        serial = build_store_serial(corpus, max_inspect_bytes=1024)
+        batched = BaselineStore.build(corpus, max_inspect_bytes=1024)
         self._assert_stores_equal(serial, batched)
         assert any(not e.digested for e in batched._entries.values())
 
     def test_sharded_parallel_build_identical(self):
         from repro.sandbox.parallel import build_store_parallel
         corpus = self._corpus()
-        ref = BaselineStore.build(corpus, batched=True)
+        ref = BaselineStore.build(corpus)
         self._assert_stores_equal(ref, build_store_parallel(corpus,
                                                             workers=2))
         # single-worker fallback degrades to the in-process build

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.corpus.wordlists import paragraphs
-from repro.simhash import (BloomFilter, MIN_DIGEST_BYTES, compare,
-                           compare_signatures, ctph, sdhash)
+from repro.simhash import (MIN_DIGEST_BYTES, compare, compare_signatures,
+                           ctph, sdhash)
+from tests.reference import BloomFilter
 
 
 def _text(seed, approx=16000):

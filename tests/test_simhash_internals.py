@@ -6,7 +6,8 @@ import pytest
 
 from repro.simhash import MAX_FEATURES, WINDOW, sdhash
 from repro.simhash.sdhash import (ANCHOR_MASK, MIN_FEATURE_ENTROPY,
-                                  _anchor_positions, _select_features)
+                                  _anchor_positions)
+from tests.reference import _select_features
 
 import numpy as np
 
@@ -74,14 +75,14 @@ class TestDigestGeometry:
         big = random.Random(6).randbytes(400000)
         digest = sdhash(big)
         assert len(digest) >= 2
-        for filt in digest.filters[:-1]:
-            assert filt.count == MAX_FEATURES
-        assert 0 < digest.filters[-1].count <= MAX_FEATURES
+        for count in digest.counts[:-1]:
+            assert count == MAX_FEATURES
+        assert 0 < digest.counts[-1] <= MAX_FEATURES
 
     def test_feature_count_recorded(self):
         data = random.Random(7).randbytes(20000)
         digest = sdhash(data)
-        assert digest.n_features == sum(f.count for f in digest.filters)
+        assert digest.n_features == sum(digest.counts)
         assert digest.source_len == len(data)
 
     def test_hexdigest_stable_and_distinct(self):

@@ -22,12 +22,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.corpus.wordlists import paragraphs
-from repro.simhash.bloom import BloomFilter, feature_positions
+from repro.simhash.bloom import feature_positions
 from repro.simhash.sdhash import (_ENTROPY_TERMS, WINDOW, SdDigest,
-                                  StreamingDigestState, _select_features,
-                                  _window_entropies, compare, digest_many,
-                                  sdhash)
-from tests.reference import (_select_features_scalar, _window_entropy_scalar,
+                                  StreamingDigestState, _window_entropies,
+                                  compare, digest_many, sdhash)
+from tests.reference import (BloomFilter, _select_features,
+                             _select_features_scalar, _window_entropy_scalar,
                              compare_scalar, sdhash_scalar)
 
 

